@@ -144,14 +144,6 @@ let table2_cell () =
     (W.Protolat.run ~rounds:20 ~proto:W.Protolat.Udp ~size:1
        Cfg.library_shm_ipf)
 
-(* The domain-parallel table2 cell, at 1 shard and at 2 domains: the
-   ratio is the measured 2-domain speedup (or, on a host without two
-   free cores, the synchronization overhead) of the sharded engine on
-   the same workload. *)
-let table2_par_cell nshards () =
-  ignore
-    (W.Ttcp.run_par ~mb:1 ~nshards ~domains:(nshards > 1) Cfg.library_shm_ipf)
-
 let workloads =
   [
     ( "checksum_ref_1500B",
@@ -170,8 +162,6 @@ let workloads =
     ("rx_datapath_1460B", fun () -> ignore (rx_datapath ()));
     ("tx_datapath_1460B", fun () -> ignore (tx_datapath ()));
     ("table2_ttcp_protolat_cell", fun () -> table2_cell ());
-    ("table2_ttcp_par_1dom", table2_par_cell 1);
-    ("table2_ttcp_par_2dom", table2_par_cell 2);
   ]
 
 (* --- measurement ------------------------------------------------------ *)
@@ -236,7 +226,6 @@ let emit_json path results =
         ("checksum_1500B", "checksum_ref_1500B", "checksum_fast_1500B");
         ("bpf_session_compiled", "bpf_session_interp", "bpf_session_compiled");
         ("bpf_session_flat", "bpf_session_interp", "bpf_session_flat");
-        ("ttcp_par_2dom", "table2_ttcp_par_1dom", "table2_ttcp_par_2dom");
       ]
   in
   let m = List.length speedups in

@@ -665,170 +665,6 @@ let scale_cmd =
       const run $ conns_arg $ spacing_arg $ hold_arg $ seed_arg $ out_arg
       $ budget_arg)
 
-let par_cmd =
-  let domains_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4 ]
-      & info [ "domains" ] ~docv:"N,N,..."
-          ~doc:"Domain counts to sweep. ttcp has two hosts, so its rows \
-                cap at 2 shards; scale distributes its client hosts over \
-                all of them.")
-  in
-  let mb_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "mb" ] ~docv:"MB" ~doc:"Megabytes per ttcp transfer.")
-  in
-  let conns_arg =
-    Arg.(
-      value & opt int 2_000
-      & info [ "conns" ] ~docv:"N"
-          ~doc:"Concurrent connections for the scale rows.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt string "BENCH_par.json"
-      & info [ "out" ] ~docv:"PATH" ~doc:"Where to write the JSON report.")
-  in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let run domain_counts mb conns out =
-    let cores = Domain.recommended_domain_count () in
-    Format.printf
-      "@.=== Domain-parallel engine sweep (%d core%s available) ===@.@."
-      cores
-      (if cores = 1 then "" else "s");
-    (* ttcp rows: sender/receiver split over at most two shards *)
-    let ttcp_rows =
-      List.map
-        (fun nd ->
-          let nshards = min nd 2 in
-          let r, w =
-            wall (fun () ->
-                W.Ttcp.run_par ~mb ~nshards ~domains:(nd > 1)
-                  Cfg.library_shm_ipf)
-          in
-          Format.printf
-            "ttcp  %d-domain: %8.0f KB/s  wall %6.3f s  (%d MB)@." nd
-            r.W.Ttcp.kb_per_sec w mb;
-          (nd, r, w))
-        domain_counts
-    in
-    (* scale rows: clients round-robin over the non-server shards *)
-    let scale_rows =
-      List.map
-        (fun nd ->
-          let r, w =
-            wall (fun () ->
-                match
-                  W.Scale.run_par ~conns ~nshards:(max nd 1)
-                    ~domains:(nd > 1) ()
-                with
-                | Ok r -> r
-                | Error e ->
-                  Format.eprintf "FATAL: scale par: %a@." W.Scale.pp_error e;
-                  exit 1)
-          in
-          Format.printf
-            "scale %d-domain: %7d echoed  wall %6.3f s  (%d conns)@." nd
-            r.W.Scale.echoed w conns;
-          (nd, r, w))
-        domain_counts
-    in
-    (* determinism gate: every row must carry the same virtual-time
-       transcript as the first *)
-    (match ttcp_rows with
-    | (_, r0, _) :: rest ->
-      List.iter
-        (fun (nd, r, _) ->
-          if r <> r0 then (
-            Format.eprintf
-              "FATAL: ttcp %d-domain transcript diverges from %d-domain@."
-              nd
-              (match ttcp_rows with (n0, _, _) :: _ -> n0 | [] -> 0);
-            exit 1))
-        rest
-    | [] -> ());
-    (match scale_rows with
-    | (_, r0, _) :: rest ->
-      let strip (r : W.Scale.result) =
-        {
-          r with
-          W.Scale.events = 0;
-          wall_s = 0.;
-          events_per_wall_s = 0.;
-          wall_ms_per_sim_s = 0.;
-          bytes_per_conn = 0.;
-          bytes_per_pcb = 0.;
-        }
-      in
-      List.iter
-        (fun (nd, r, _) ->
-          if strip r <> strip r0 then (
-            Format.eprintf
-              "FATAL: scale %d-domain transcript diverges@." nd;
-            exit 1))
-        rest
-    | [] -> ());
-    let base_wall rows =
-      match rows with (_, _, w) :: _ -> w | [] -> 1.
-    in
-    let oc = open_out out in
-    let p fmt = Printf.fprintf oc fmt in
-    p "{\n";
-    p "  \"benchmark\": \"par\",\n";
-    p "  \"cores\": %d,\n" cores;
-    p "  \"deterministic\": true,\n";
-    p "  \"ttcp\": {\n";
-    p "    \"config\": \"%s\",\n" Cfg.library_shm_ipf.Cfg.label;
-    p "    \"mb\": %d,\n" mb;
-    p "    \"rows\": [\n";
-    let n = List.length ttcp_rows in
-    List.iteri
-      (fun i (nd, (r : W.Ttcp.result), w) ->
-        p
-          "      {\"domains\": %d, \"kb_per_sec\": %.0f, \"wall_s\": %.3f, \
-           \"speedup\": %.2f}%s\n"
-          nd r.W.Ttcp.kb_per_sec w
-          (base_wall ttcp_rows /. w)
-          (if i = n - 1 then "" else ","))
-      ttcp_rows;
-    p "    ]\n";
-    p "  },\n";
-    p "  \"scale\": {\n";
-    p "    \"conns\": %d,\n" conns;
-    p "    \"rows\": [\n";
-    let m = List.length scale_rows in
-    List.iteri
-      (fun i (nd, (r : W.Scale.result), w) ->
-        p
-          "      {\"domains\": %d, \"echoed\": %d, \"wall_s\": %.3f, \
-           \"speedup\": %.2f}%s\n"
-          nd r.W.Scale.echoed w
-          (base_wall scale_rows /. w)
-          (if i = m - 1 then "" else ","))
-      scale_rows;
-    p "    ]\n";
-    p "  }\n";
-    p "}\n";
-    close_out oc;
-    Format.printf "@.wrote %s@." out
-  in
-  Cmd.v
-    (Cmd.info "par"
-       ~doc:"Sweep the domain-parallel engine over domain counts \
-             (default 1,2,4) on the ttcp and scale workloads, verify \
-             every row's virtual-time transcript is bit-identical to \
-             the single-domain run, and write wall-clock speedups to \
-             BENCH_par.json. Speedup above 1 requires the host to have \
-             free cores; the report records the core count.")
-    Term.(const run $ domains_arg $ mb_arg $ conns_arg $ out_arg)
-
 let all_cmd =
   let run mb rounds =
     W.Tables.figure1 ();
@@ -874,7 +710,6 @@ let main =
       offload_cmd;
       predict_cmd;
       scale_cmd;
-      par_cmd;
       all_cmd;
     ]
 

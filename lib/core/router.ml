@@ -25,12 +25,11 @@ let forwarded t = t.forwarded
 let dropped_ttl t = t.dropped_ttl
 let dropped_no_route t = t.dropped_no_route
 
-(* Atomic for the same reason as [System.mac_counter]: routers may be
-   built from several shards' setup code. *)
-let mac_counter = Atomic.make 0x8000
+let mac_counter = ref 0x8000
 
 let fresh_mac () =
-  Psd_link.Macaddr.of_host_id (Atomic.fetch_and_add mac_counter 1 + 1)
+  incr mac_counter;
+  Psd_link.Macaddr.of_host_id !mac_counter
 
 let send_arp t iface ~dst (p : Psd_arp.Packet.t) =
   let payload = Psd_arp.Packet.encode p in
@@ -104,7 +103,7 @@ let process t (idx, frame) =
       forward t ~in_iface:iface frame
   end
 
-let create ~eng ?(plat = Platform.decstation) ?(shard = 0) ~name ~ifaces () =
+let create ~eng ?(plat = Platform.decstation) ~name ~ifaces () =
   let host = Psd_mach.Host.create ~eng ~plat ~name in
   let ctx =
     Ctx.create ~eng ~cpu:(Psd_mach.Host.cpu host) ~plat
@@ -126,9 +125,7 @@ let create ~eng ?(plat = Platform.decstation) ?(shard = 0) ~name ~ifaces () =
   in
   let make_iface index (segment, addr_s) =
     let addr = Psd_ip.Addr.of_string addr_s in
-    let netdev =
-      Psd_mach.Netdev.create ~shard host segment ~mac:(fresh_mac ())
-    in
+    let netdev = Psd_mach.Netdev.create host segment ~mac:(fresh_mac ()) in
     let cache = Psd_arp.Cache.create eng () in
     (* temporary resolver: rebuilt below once the record exists *)
     let iface_ref = ref None in

@@ -20,23 +20,18 @@ type t = {
   fault : Psd_link.Fault.t option;
 }
 
-(* Atomic: systems may be built on several shards' engines (each shard
-   builds its own hosts, but construction order across shards is not
-   synchronized). Workloads that need identical MACs across partition
-   choices build hosts in a fixed global order before running. *)
-let mac_counter = Atomic.make 0
+let mac_counter = ref 0
 
 let fresh_mac () =
-  Psd_link.Macaddr.of_host_id (Atomic.fetch_and_add mac_counter 1 + 1)
+  incr mac_counter;
+  Psd_link.Macaddr.of_host_id !mac_counter
 
-let create ~eng ~segment ?(shard = 0) ~config ?plat ?rcv_buf ?delack_ns ?fault
-    ~addr ~name () =
+let create ~eng ~segment ~config ?plat ?rcv_buf ?delack_ns ?fault ~addr
+    ~name () =
   let base_plat = Option.value plat ~default:Platform.decstation in
   let plat = Config.effective_platform base_plat config.Config.os in
   let host = Psd_mach.Host.create ~eng ~plat ~name in
-  let netdev =
-    Psd_mach.Netdev.create ~shard host segment ~mac:(fresh_mac ())
-  in
+  let netdev = Psd_mach.Netdev.create host segment ~mac:(fresh_mac ()) in
   (* A null policy installs nothing and draws nothing, so fault-free
      runs stay bit-identical whether or not the argument was passed. *)
   let fault =

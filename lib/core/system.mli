@@ -12,7 +12,6 @@ type t
 val create :
   eng:Psd_sim.Engine.t ->
   segment:Psd_link.Segment.t ->
-  ?shard:int ->
   config:Psd_cost.Config.t ->
   ?plat:Psd_cost.Platform.t ->
   ?rcv_buf:int ->
@@ -25,10 +24,6 @@ val create :
 (** [plat] defaults to the DECstation 5000/200 (adjusted by the
     configuration's OS profile). A direct route for the address's /24 is
     installed.
-
-    [shard] (default 0) places the host's NIC on that shard of a duplex
-    segment for domain-parallel runs; [eng] must then be that shard's
-    engine (see {!Psd_sim.Shard}).
 
     [fault] subjects every frame this host receives to a deterministic
     fault process (see {!Psd_link.Fault}); its RNG is split off the

@@ -4,25 +4,10 @@ type nic = {
   mutable promisc : bool;
   mutable nic_fault : Fault.t option;
   segment : t;
-  (* the engine (and shard) that owns this NIC's host; equal to [t.eng]
-     (shard 0) on a classic shared segment *)
-  nic_eng : Psd_sim.Engine.t;
-  nic_shard : int;
-  (* duplex mode: each NIC serialises its own transmissions *)
-  mutable nic_busy_until : int;
-  mutable nic_frames : int;
-  mutable nic_bytes : int;
-  mutable nic_busy_ns : int;
 }
 
 and t = {
   eng : Psd_sim.Engine.t;
-  (* [Some shard] switches the segment to duplex delivery: per-NIC
-     transmit serialisation and per-receiver delivery events routed
-     through the shard layer (possibly to another domain). [None] is
-     the classic shared half-duplex medium. *)
-  shard : Psd_sim.Shard.t option;
-  prop_ns : int;
   bps : int;
   ifg_ns : int;
   mutable nics : nic list;
@@ -38,8 +23,6 @@ let preamble_bytes = 8
 let create eng ?(bps = 10_000_000) ?(ifg_ns = 9_600) () =
   {
     eng;
-    shard = None;
-    prop_ns = 0;
     bps;
     ifg_ns;
     nics = [];
@@ -50,45 +33,7 @@ let create eng ?(bps = 10_000_000) ?(ifg_ns = 9_600) () =
     busy_ns = 0;
   }
 
-let create_duplex shard ?(bps = 10_000_000) ?(ifg_ns = 9_600) ?(prop_ns = 0) ()
-    =
-  if prop_ns < 0 then invalid_arg "Segment.create_duplex: negative prop_ns";
-  {
-    eng = Psd_sim.Shard.engine shard 0;
-    shard = Some shard;
-    prop_ns;
-    bps;
-    ifg_ns;
-    nics = [];
-    fault = None;
-    busy_until = 0;
-    frames = 0;
-    bytes = 0;
-    busy_ns = 0;
-  }
-
-let duplex t = t.shard <> None
-
-let frame_time t len =
-  let len = max len Frame.min_frame in
-  let bits = (len + preamble_bytes) * 8 in
-  (bits * 1_000_000_000 / t.bps) + t.ifg_ns
-
-(* Earliest possible sender-clock-to-arrival delta of any frame on this
-   segment: minimum-size serialisation (the trailing inter-frame gap is
-   not part of the arrival time) plus propagation. This is the
-   conservative lookahead a duplex wire contributes between shards. *)
-let min_latency t = frame_time t Frame.min_frame - t.ifg_ns + t.prop_ns
-
-let attach_on t ~shard:si ~mac =
-  let eng, si =
-    match t.shard with
-    | None ->
-      if si <> 0 then
-        invalid_arg "Segment.attach_on: classic segment has only shard 0";
-      (t.eng, 0)
-    | Some sh -> (Psd_sim.Shard.engine sh si, si)
-  in
+let attach t ~mac =
   let nic =
     {
       nic_mac = mac;
@@ -96,31 +41,10 @@ let attach_on t ~shard:si ~mac =
       promisc = false;
       nic_fault = None;
       segment = t;
-      nic_eng = eng;
-      nic_shard = si;
-      nic_busy_until = 0;
-      nic_frames = 0;
-      nic_bytes = 0;
-      nic_busy_ns = 0;
     }
   in
-  (* a wire between two shards bounds how soon one can disturb the
-     other: declare it, keeping the minimum over parallel wires *)
-  (match t.shard with
-  | Some sh ->
-    let d = min_latency t in
-    List.iter
-      (fun other ->
-        if other.nic_shard <> si then begin
-          Psd_sim.Shard.set_lookahead sh ~src:si ~dst:other.nic_shard d;
-          Psd_sim.Shard.set_lookahead sh ~src:other.nic_shard ~dst:si d
-        end)
-      t.nics
-  | None -> ());
   t.nics <- t.nics @ [ nic ];
   nic
-
-let attach t ~mac = attach_on t ~shard:0 ~mac
 
 let mac nic = nic.nic_mac
 
@@ -128,18 +52,18 @@ let set_rx nic f = nic.rx <- f
 
 let set_promiscuous nic v = nic.promisc <- v
 
-let set_fault t f =
-  if t.shard <> None && f <> None then
-    invalid_arg
-      "Segment.set_fault: duplex segments take per-NIC fault processes \
-       (segment-wide state would be shared across domains)";
-  t.fault <- f
+let set_fault t f = t.fault <- f
 
 let set_nic_fault nic f = nic.nic_fault <- f
 
 let fault t = t.fault
 
 let nic_fault nic = nic.nic_fault
+
+let frame_time t len =
+  let len = max len Frame.min_frame in
+  let bits = (len + preamble_bytes) * 8 in
+  (bits * 1_000_000_000 / t.bps) + t.ifg_ns
 
 let pad frame =
   let len = Bytes.length frame in
@@ -150,15 +74,12 @@ let pad frame =
     padded
   end
 
-let wanted receiver dst =
-  receiver.promisc
-  || Macaddr.is_broadcast dst
-  || Macaddr.equal dst receiver.nic_mac
-
-(* Classic shared medium: one serialisation queue, one delivery event
-   iterating the receivers on the shared engine. Byte-identical to the
-   pre-duplex implementation. *)
-let transmit_shared nic t frame =
+let transmit nic frame =
+  let t = nic.segment in
+  let len = Bytes.length frame in
+  if len < Frame.header_size then invalid_arg "Segment.transmit: runt frame";
+  if len > Frame.max_frame then invalid_arg "Segment.transmit: giant frame";
+  let frame = pad frame in
   let now = Psd_sim.Engine.now t.eng in
   let start = max now t.busy_until in
   let occupancy = frame_time t (Bytes.length frame) in
@@ -172,7 +93,12 @@ let transmit_shared nic t frame =
       List.iter
         (fun receiver ->
           if receiver != nic then
-            if wanted receiver dst then begin
+            let wanted =
+              receiver.promisc
+              || Macaddr.is_broadcast dst
+              || Macaddr.equal dst receiver.nic_mac
+            in
+            if wanted then begin
               (* each receiver gets a private copy of the frame: it is
                  the simulated medium handing the NIC its own bits, and
                  it is what makes downstream zero-copy views safe — the
@@ -200,64 +126,8 @@ let transmit_shared nic t frame =
             end)
         t.nics)
 
-(* Duplex (sharded) medium: the sender serialises on its own NIC and
-   each receiver gets its own delivery event on its own engine, routed
-   through the shard layer when the receiver lives on another shard.
-   The receiver list is walked in attach order, so the set of posted
-   (key, dst) deliveries is independent of the shard partition — that,
-   plus the shard layer's (key, src, FIFO) injection order, is what
-   makes 1-shard and N-shard runs bit-identical. *)
-let transmit_duplex nic t sh frame =
-  let now = Psd_sim.Engine.now nic.nic_eng in
-  let start = max now nic.nic_busy_until in
-  let occupancy = frame_time t (Bytes.length frame) in
-  nic.nic_busy_until <- start + occupancy;
-  nic.nic_frames <- nic.nic_frames + 1;
-  nic.nic_bytes <- nic.nic_bytes + Bytes.length frame;
-  nic.nic_busy_ns <- nic.nic_busy_ns + occupancy;
-  let arrival = start + occupancy - t.ifg_ns + t.prop_ns in
-  let dst = Frame.dst frame in
-  List.iter
-    (fun receiver ->
-      if receiver != nic && wanted receiver dst then
-        let deliver () =
-          (* copy on the receiver's side, as the shared path does *)
-          Psd_util.Copies.count Psd_util.Copies.Wire (Bytes.length frame);
-          let copy = Bytes.copy frame in
-          match receiver.nic_fault with
-          | None -> receiver.rx copy
-          | Some f ->
-            List.iter
-              (fun (extra_ns, frm) ->
-                if extra_ns = 0 then receiver.rx frm
-                else
-                  Psd_sim.Engine.schedule receiver.nic_eng extra_ns
-                    (fun () -> receiver.rx frm))
-              (Fault.apply f copy)
-        in
-        Psd_sim.Shard.post sh ~src:nic.nic_shard ~dst:receiver.nic_shard
-          ~key:arrival deliver)
-    t.nics
+let frames_sent t = t.frames
 
-let transmit nic frame =
-  let t = nic.segment in
-  let len = Bytes.length frame in
-  if len < Frame.header_size then invalid_arg "Segment.transmit: runt frame";
-  if len > Frame.max_frame then invalid_arg "Segment.transmit: giant frame";
-  let frame = pad frame in
-  match t.shard with
-  | Some sh -> transmit_duplex nic t sh frame
-  | None -> transmit_shared nic t frame
+let bytes_sent t = t.bytes
 
-let sum_nics t f = List.fold_left (fun acc n -> acc + f n) 0 t.nics
-
-let frames_sent t =
-  if duplex t then sum_nics t (fun n -> n.nic_frames) else t.frames
-
-let bytes_sent t =
-  if duplex t then sum_nics t (fun n -> n.nic_bytes) else t.bytes
-
-let busy_ns t =
-  if duplex t then sum_nics t (fun n -> n.nic_busy_ns) else t.busy_ns
-
-let nic_busy_ns nic = nic.nic_busy_ns
+let busy_ns t = t.busy_ns

@@ -14,33 +14,8 @@ type nic
 val create : Psd_sim.Engine.t -> ?bps:int -> ?ifg_ns:int -> unit -> t
 (** Default 10 Mb/s with the standard 9.6 µs inter-frame gap. *)
 
-val create_duplex :
-  Psd_sim.Shard.t -> ?bps:int -> ?ifg_ns:int -> ?prop_ns:int -> unit -> t
-(** A full-duplex point-to-multipoint wire whose NICs may live on
-    different shards of the given {!Psd_sim.Shard.t}: each NIC
-    serialises its own transmissions (no shared medium contention
-    state), each receiver gets its own delivery event on its own
-    engine, and attaching NICs on two different shards registers the
-    wire's minimum frame latency (+ [prop_ns] propagation, default 0)
-    as the conservative lookahead between them. Use [n = 1] shards for
-    a single-domain duplex baseline — the virtual-time transcript is
-    identical for every shard count. Duplex segments take per-NIC fault
-    processes only ({!set_fault} rejects a policy). *)
-
-val duplex : t -> bool
-
-val min_latency : t -> int
-(** Smallest possible transmit-to-arrival delta on this segment (ns):
-    minimum-frame serialisation plus propagation — the lookahead a
-    duplex wire contributes between shards. *)
-
 val attach : t -> mac:Macaddr.t -> nic
-(** Attach a NIC with the given address (on shard 0 if duplex). *)
-
-val attach_on : t -> shard:int -> mac:Macaddr.t -> nic
-(** Attach a NIC owned by the given shard of a duplex segment; its
-    receive handler and delivery events run on that shard's engine.
-    On a classic segment only [~shard:0] is accepted. *)
+(** Attach a NIC with the given address. *)
 
 val mac : nic -> Macaddr.t
 
@@ -79,10 +54,4 @@ val frames_sent : t -> int
 val bytes_sent : t -> int
 
 val busy_ns : t -> int
-(** Cumulative wire-busy time, for utilisation reporting. On a duplex
-    segment this sums over NICs — read it only when no other domain is
-    running (between sharded runs). *)
-
-val nic_busy_ns : nic -> int
-(** Cumulative transmit-busy time of one NIC of a duplex segment —
-    safe to read from the owning shard while other shards run. *)
+(** Cumulative wire-busy time, for utilisation reporting. *)

@@ -26,8 +26,8 @@ type t = {
   mutable offload : (Nicpipe.t * (Bytes.t -> unit)) option;
 }
 
-let create ?(shard = 0) host segment ~mac =
-  let nic = Psd_link.Segment.attach_on segment ~shard ~mac in
+let create host segment ~mac =
+  let nic = Psd_link.Segment.attach segment ~mac in
   let t =
     {
       host;
@@ -92,8 +92,6 @@ let create ?(shard = 0) host segment ~mac =
 let mac t = Psd_link.Segment.mac t.nic
 
 let host t = t.host
-
-let wire_busy_ns t = Psd_link.Segment.nic_busy_ns t.nic
 
 let set_rx_mode t mode = t.mode <- mode
 
@@ -187,12 +185,6 @@ let transmit t ~ctx ~from_user frame =
     Ctx.charge ctx Phase.Ether_output cost;
     if egress_allows t frame then Psd_link.Segment.transmit t.nic frame
     else t.tx_blocked <- t.tx_blocked + 1
-
-(* Burst transmit for a batched sender (Pktchan tx_recv_batch): each
-   frame pays exactly [transmit]'s charges in order, so a batch is
-   cost- and event-identical to the per-frame loop it replaces. *)
-let transmit_batch t ~ctx ~from_user frames =
-  List.iter (fun frame -> transmit t ~ctx ~from_user frame) frames
 
 let attach_egress t ~prog () =
   (match Psd_bpf.Vm.validate prog with

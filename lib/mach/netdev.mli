@@ -19,20 +19,11 @@ type rx_mode =
 
 type filter_id
 
-val create :
-  ?shard:int -> Host.t -> Psd_link.Segment.t -> mac:Psd_link.Macaddr.t -> t
-(** [?shard] (default 0) places the NIC on that shard of a duplex
-    segment (see {!Psd_link.Segment.attach_on}); the host must have
-    been built on the same shard's engine. *)
+val create : Host.t -> Psd_link.Segment.t -> mac:Psd_link.Macaddr.t -> t
 
 val mac : t -> Psd_link.Macaddr.t
 
 val host : t -> Host.t
-
-val wire_busy_ns : t -> int
-(** Cumulative transmit serialisation time of this device's NIC on a
-    duplex segment (0 on a classic shared segment, whose busy time is
-    segment-wide). Safe to read from the owning shard. *)
 
 val set_rx_mode : t -> rx_mode -> unit
 
@@ -73,12 +64,6 @@ val transmit : t -> ctx:Psd_cost.Ctx.t -> from_user:bool -> Bytes.t -> unit
     are charged to [ctx]; wire serialisation is handled by the segment.
     When egress filters are installed, frames none of them accept are
     silently dropped (counted in {!tx_blocked}). *)
-
-val transmit_batch :
-  t -> ctx:Psd_cost.Ctx.t -> from_user:bool -> Bytes.t list -> unit
-(** Send a burst of frames in order. Cost- and event-identical to
-    calling {!transmit} per frame; exists as the device-side consumer
-    of a batched tx channel ({!Pktchan.tx_recv_batch}). *)
 
 val attach_egress : t -> prog:Psd_bpf.Vm.program -> unit -> filter_id
 (** Install an outgoing-packet limiter (paper Section 3.4): with one or

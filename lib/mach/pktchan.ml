@@ -20,18 +20,6 @@ type t = {
   mutable dropped : int;
   mutable wakeups : int;
   mutable delivered : int;
-  (* transmit direction: application -> kernel, the mirror image of the
-     receive machinery above. An IPC channel sends one message per
-     frame; an SHM channel shares the ring discipline (same capacity as
-     the rx ring) with a wakeup only when the kernel-side consumer is
-     blocked, so a bulk sender enqueues a burst per wakeup. *)
-  tx_ring : Bytes.t Psd_util.Ring.t option;
-  tx_q : Bytes.t Queue.t;
-  tx_cond : Psd_sim.Cond.t;
-  mutable tx_waiting : int;
-  mutable tx_dropped : int;
-  mutable tx_wakeups : int;
-  mutable tx_sent : int;
 }
 
 let create ?(newapi = false) host ~kind ~deliver_fixed ~deliver_per_byte =
@@ -51,16 +39,6 @@ let create ?(newapi = false) host ~kind ~deliver_fixed ~deliver_per_byte =
     dropped = 0;
     wakeups = 0;
     delivered = 0;
-    tx_ring =
-      (match kind with
-      | Ipc -> None
-      | Shm cap -> Some (Psd_util.Ring.create ~capacity:cap));
-    tx_q = Queue.create ();
-    tx_cond = Psd_sim.Cond.create (Host.eng host);
-    tx_waiting = 0;
-    tx_dropped = 0;
-    tx_wakeups = 0;
-    tx_sent = 0;
   }
 
 let kctx t = Host.kernel_ctx t.host
@@ -106,86 +84,6 @@ let deliver t pkt =
       end
     end
     else t.dropped <- t.dropped + 1
-
-(* --- transmit direction ------------------------------------------- *)
-
-(* Sender side; the cost formulas mirror [deliver]'s exactly (message
-   cost + copies for IPC; ring copy + conditional wakeup for SHM) and
-   are charged to the kernel context under [Entry_copyin], the send
-   path's user/kernel crossing. No [Copies] site is charged here: the
-   simulated ring/message copy is part of the placement's cost model,
-   while the physical payload travels as a shared view — the tx channel
-   is not on the body-copy path. *)
-let send t pkt =
-  let plat = Host.plat t.host in
-  let len = Bytes.length pkt in
-  match t.kind with
-  | Ipc ->
-    Ctx.charge_at (kctx t) Psd_sim.Cpu.Kernel Phase.Entry_copyin
-      (t.deliver_fixed + plat.Platform.ipc_msg + plat.Platform.wakeup_kernel
-      + (len * (t.deliver_per_byte + plat.Platform.ipc_per_byte)));
-    Queue.push pkt t.tx_q;
-    t.tx_sent <- t.tx_sent + 1;
-    t.tx_wakeups <- t.tx_wakeups + 1;
-    Psd_sim.Cond.signal t.tx_cond
-  | Shm _ ->
-    Ctx.charge_at (kctx t) Psd_sim.Cpu.Kernel Phase.Entry_copyin
-      (t.deliver_fixed + (len * t.deliver_per_byte));
-    let ring = Option.get t.tx_ring in
-    if Psd_util.Ring.push ring pkt then begin
-      t.tx_sent <- t.tx_sent + 1;
-      if t.tx_waiting > 0 then begin
-        t.tx_wakeups <- t.tx_wakeups + 1;
-        Ctx.charge_at (kctx t) Psd_sim.Cpu.Kernel Phase.Entry_copyin
-          plat.Platform.wakeup_kernel;
-        Psd_sim.Cond.signal t.tx_cond
-      end
-    end
-    else t.tx_dropped <- t.tx_dropped + 1
-
-let send_batch t pkts = List.iter (fun pkt -> send t pkt) pkts
-
-let tx_pop t =
-  match t.kind with
-  | Ipc -> Queue.take_opt t.tx_q
-  | Shm _ -> Psd_util.Ring.pop (Option.get t.tx_ring)
-
-let rec tx_recv t =
-  match tx_pop t with
-  | Some pkt -> pkt
-  | None ->
-    t.tx_waiting <- t.tx_waiting + 1;
-    Psd_sim.Cond.wait t.tx_cond;
-    t.tx_waiting <- t.tx_waiting - 1;
-    tx_recv t
-
-let try_tx_recv t = tx_pop t
-
-let tx_drain t =
-  let rec go acc =
-    match tx_pop t with Some pkt -> go (pkt :: acc) | None -> List.rev acc
-  in
-  go []
-
-let tx_recv_batch t =
-  match tx_drain t with
-  | [] ->
-    let pkt = tx_recv t in
-    pkt :: tx_drain t
-  | pkts -> pkts
-
-let tx_queued t =
-  match t.kind with
-  | Ipc -> Queue.length t.tx_q
-  | Shm _ -> Psd_util.Ring.length (Option.get t.tx_ring)
-
-let tx_dropped t = t.tx_dropped
-
-let tx_wakeups t = t.tx_wakeups
-
-let tx_sent t = t.tx_sent
-
-(* --- receive direction -------------------------------------------- *)
 
 let pop t =
   match t.kind with

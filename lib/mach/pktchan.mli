@@ -61,47 +61,3 @@ val wakeups : t -> int
 (** Scheduler wakeups performed — the batching observable. *)
 
 val delivered : t -> int
-
-(** {1 Transmit direction}
-
-    The mirror image of delivery: the application (library stack)
-    enqueues outgoing frames toward the kernel. An IPC channel pays the
-    per-frame message cost; an SHM channel shares the ring discipline
-    (same capacity as the receive ring) and wakes the kernel-side
-    consumer only when it is blocked, so a bulk sender enqueues a burst
-    per wakeup — {!send_batch} is the symmetric observable to
-    {!recv_batch}. Costs are charged to the kernel context under
-    [Entry_copyin] with exactly [deliver]'s formulas. The default
-    simulator transmit path does not route through these queues (that
-    would reorder events against the recorded baselines); they are the
-    tx counterpart measured by the bench and test suites. *)
-
-val send : t -> Bytes.t -> unit
-(** Application side. IPC channels pay the message cost per frame; a
-    full SHM tx ring tail-drops the frame (see {!tx_dropped}). *)
-
-val send_batch : t -> Bytes.t list -> unit
-(** [send_batch t pkts] enqueues [pkts] in order; equivalent to
-    [List.iter (send t) pkts] in cost, ordering, and drop behaviour. *)
-
-val tx_recv : t -> Bytes.t
-(** Kernel side; blocks the calling fiber until a frame is queued. *)
-
-val try_tx_recv : t -> Bytes.t option
-
-val tx_drain : t -> Bytes.t list
-(** Every frame already queued, oldest first, without blocking. *)
-
-val tx_recv_batch : t -> Bytes.t list
-(** Blocking batch receive of the queued frame train; event-order
-    identical to per-frame {!tx_recv}. *)
-
-val tx_queued : t -> int
-
-val tx_dropped : t -> int
-(** Frames lost to tx-ring overflow since creation. *)
-
-val tx_wakeups : t -> int
-
-val tx_sent : t -> int
-(** Frames accepted into the tx channel since creation. *)

@@ -24,7 +24,6 @@ type t = {
   rng : Psd_util.Rng.t;
   mutable alive : int;
   mutable failures : exn list; (* newest first; reversed when read *)
-  mutable trace_sink : (time:int -> string -> unit) option;
   mutable horizon : int; (* run_until bound; sleeps may not advance past it *)
 }
 
@@ -54,7 +53,6 @@ let create ?(seed = 42) () =
     rng = Psd_util.Rng.create ~seed;
     alive = 0;
     failures = [];
-    trace_sink = None;
     horizon = max_int;
   }
 
@@ -71,10 +69,8 @@ let schedule t dt f =
   if dt < 0 then invalid_arg "Engine.schedule: negative delay";
   Psd_util.Heap.push_seq t.events ~key:(t.now + dt) ~seq:(alloc_seq t) f
 
-(* Absolute-key scheduling, for the shard layer: a cross-shard arrival
-   carries the virtual time it was computed for on the sending shard;
-   the receiving engine allocates the seq at injection, exactly as a
-   local [schedule] at the same instant would. *)
+(* Absolute-key scheduling: the seq is allocated at the call, exactly
+   as a relative [schedule] at the same instant would. *)
 let schedule_abs t ~key f =
   if key < t.now then
     invalid_arg
@@ -139,7 +135,7 @@ let sleep t dt =
   then t.now <- target
   else Effect.perform (Sleep dt)
 
-let spawn t ?name f =
+let spawn t ?name:_ f =
   let body () =
     let open Effect.Deep in
     match_with f ()
@@ -150,14 +146,7 @@ let spawn t ?name f =
             t.alive <- t.alive - 1;
             (* prepend: appending would make accumulating n failures
                O(n²); readers reverse once instead *)
-            t.failures <- e :: t.failures;
-            (match t.trace_sink with
-            | Some sink ->
-              sink ~time:t.now
-                (Printf.sprintf "fiber %s died: %s"
-                   (Option.value name ~default:"?")
-                   (Printexc.to_string e))
-            | None -> ()));
+            t.failures <- e :: t.failures);
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with
@@ -245,36 +234,9 @@ let run_until t stop =
 
 let run_for t dt = run_until t (t.now + dt)
 
-(* Windowed dispatch for the shard layer: execute every event with
-   key < [bound] and stop, leaving the clock at the last dispatched
-   event (NOT advanced to the bound — the conservative horizon is
-   exclusive, and the next window may open below it).  The sleep-bypass
-   horizon is set to [bound - 1] so a sleep that would cross the window
-   suspends through the Sleep effect instead of advancing the clock
-   into territory another shard may still inject events into.
-   Failures are left accumulated for the shard layer to aggregate. *)
-let run_below t bound =
-  let saved = t.horizon in
-  t.horizon <- bound - 1;
-  while next_key t < bound do
-    ignore (step t)
-  done;
-  t.horizon <- saved
-
-(* Force the clock forward at the end of a sharded run, mirroring what
-   [run_until] does when the last event precedes the stop time. *)
-let advance_to t time = if time > t.now then t.now <- time
-
 let alive t = t.alive
 
 let failures t = List.rev t.failures
-
-let set_trace t sink = t.trace_sink <- sink
-
-let trace t msg =
-  match t.trace_sink with
-  | Some sink -> sink ~time:t.now msg
-  | None -> ()
 
 (* heap pushes + wheel arms: one seq is allocated per scheduled event *)
 let events_scheduled t = t.next_seq

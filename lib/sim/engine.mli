@@ -29,7 +29,8 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** [spawn t f] creates a fiber executing [f], scheduled at the current
     virtual time. May be called from inside or outside a fiber. An
     exception escaping [f] is recorded (see {!failures}) and terminates
-    only that fiber. *)
+    only that fiber. [name] labels the fiber at the call site; the
+    engine does not record it. *)
 
 val sleep : t -> int -> unit
 (** Block the calling fiber for the given number of nanoseconds.
@@ -49,8 +50,9 @@ val schedule_abs : t -> key:int -> (unit -> unit) -> unit
 (** [schedule_abs t ~key f] runs callback [f] at absolute virtual time
     [key] (which must be [>= now t]). The sequence number is allocated
     at the moment of the call, exactly as [schedule t (key - now t) f]
-    would — this is the injection primitive {!Shard} uses to deliver
-    cross-shard arrivals with single-engine dispatch order.
+    would, so same-key events keep FIFO order across both forms. This
+    is how [Psd_mach.Nicpipe] schedules pipeline completions it has already
+    computed as absolute times.
     @raise Invalid_argument if [key] is in the past. *)
 
 val after : t -> int -> (unit -> unit) -> cancel
@@ -100,36 +102,12 @@ val run_until : t -> int -> unit
 val run_for : t -> int -> unit
 (** [run_for t dt] = [run_until t (now t + dt)]. *)
 
-val next_key : t -> int
-(** Virtual time of the earliest pending event across both queues
-    (heap and wheel), or [max_int] when the engine is idle. This is the
-    quantity the shard layer publishes to compute conservative
-    horizons. *)
-
-val run_below : t -> int -> unit
-(** [run_below t bound] dispatches every pending event with
-    key [< bound] — one conservative window of a sharded run. Unlike
-    {!run_until} the clock is left at the last dispatched event rather
-    than advanced to the bound, and fiber failures are accumulated
-    (see {!failures}) rather than raised; the shard layer aggregates
-    them when the whole run completes. *)
-
-val advance_to : t -> int -> unit
-(** Force the clock forward to the given absolute time if it is ahead
-    of [now] (used by the shard layer at the end of a run; events must
-    not be pending below that time). *)
-
 val alive : t -> int
 (** Number of fibers spawned but not yet finished. After {!run} returns,
     a non-zero value means fibers are blocked forever (deadlock). *)
 
 val failures : t -> exn list
 (** Exceptions raised by fibers, oldest first. *)
-
-val set_trace : t -> (time:int -> string -> unit) option -> unit
-(** Install a trace sink for {!trace} messages (diagnostics). *)
-
-val trace : t -> string -> unit
 
 val events_scheduled : t -> int
 (** Total events pushed onto the queue since creation — the simulator's

@@ -20,8 +20,9 @@ val with_lock : t -> (unit -> 'a) -> 'a
 (** Acquire, run, release (also on exception). *)
 
 val wait : t -> Cond.t -> unit
-(** Atomically release the lock, wait for a signal on the condition, and
-    reacquire — the POSIX [pthread_cond_wait] shape. The caller must hold
+(** Release the lock, wait for a signal on the condition, and
+    reacquire, with no wakeup lost in between — the POSIX
+    [pthread_cond_wait] shape. The caller must hold
     the lock and must re-check its predicate on return. *)
 
 val holder_active : t -> bool

@@ -58,26 +58,22 @@ let all_sites =
 
 let n_sites = List.length all_sites
 
-(* Atomic: with the engine sharded across domains (Psd_sim.Shard),
-   several domains charge copy sites concurrently. Totals are sums, so
-   they are independent of interleaving — a sharded run reports the
-   same counts as its single-domain replay. *)
-let copies_a = Array.init n_sites (fun _ -> Atomic.make 0)
+let copies_a = Array.make n_sites 0
 
-let bytes_a = Array.init n_sites (fun _ -> Atomic.make 0)
+let bytes_a = Array.make n_sites 0
 
 let count site ?(n = 1) bytes =
   let i = site_index site in
-  ignore (Atomic.fetch_and_add copies_a.(i) n);
-  ignore (Atomic.fetch_and_add bytes_a.(i) bytes)
+  copies_a.(i) <- copies_a.(i) + n;
+  bytes_a.(i) <- bytes_a.(i) + bytes
 
-let copies site = Atomic.get copies_a.(site_index site)
+let copies site = copies_a.(site_index site)
 
-let bytes site = Atomic.get bytes_a.(site_index site)
+let bytes site = bytes_a.(site_index site)
 
 let reset () =
-  Array.iter (fun a -> Atomic.set a 0) copies_a;
-  Array.iter (fun a -> Atomic.set a 0) bytes_a
+  Array.fill copies_a 0 n_sites 0;
+  Array.fill bytes_a 0 n_sites 0
 
 let all () =
   List.map (fun s -> (site_name s, copies s, bytes s)) all_sites

