@@ -1,46 +1,15 @@
-type waiter = { mutable fired : bool; resume : unit -> unit }
+type t = { eng : Engine.t; q : Engine.waitq }
 
-type t = { eng : Engine.t; mutable queue : waiter list }
+let create eng = { eng; q = Engine.waitq () }
 
-let create eng = { eng; queue = [] }
+let wait t = Engine.wait t.eng t.q
 
-let wait t =
-  Engine.suspend t.eng (fun resume ->
-      t.queue <- t.queue @ [ { fired = false; resume } ])
+let signal t = ignore (Engine.wake_one t.eng t.q)
 
-let fire w =
-  if not w.fired then begin
-    w.fired <- true;
-    w.resume ()
-  end
-
-let signal t =
-  match t.queue with
-  | [] -> ()
-  | w :: rest ->
-    t.queue <- rest;
-    fire w
-
-let broadcast t =
-  let q = t.queue in
-  t.queue <- [];
-  List.iter fire q
+let broadcast t = Engine.wake_all t.eng t.q
 
 let wait_timeout t dt =
-  let result = ref `Ok in
-  Engine.suspend t.eng (fun resume ->
-      let w = { fired = false; resume } in
-      t.queue <- t.queue @ [ w ];
-      let (_ : Engine.cancel) =
-        Engine.after t.eng dt (fun () ->
-            if not w.fired then begin
-              result := `Timeout;
-              t.queue <- List.filter (fun w' -> w' != w) t.queue;
-              fire w
-            end)
-      in
-      ());
-  !result
+  if Engine.wait_timeout t.eng t.q dt then `Timeout else `Ok
 
 let rec until t f =
   match f () with
@@ -64,4 +33,4 @@ let until_timeout t dt f =
   in
   loop ()
 
-let waiters t = List.length t.queue
+let waiters t = Engine.waiting t.q

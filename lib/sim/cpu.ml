@@ -3,35 +3,28 @@ type prio = Interrupt | Kernel | User
 type t = {
   eng : Engine.t;
   mutable busy : bool;
-  queues : (unit -> unit) Queue.t array; (* index 0 = Interrupt *)
+  queues : Engine.waitq array; (* index 0 = Interrupt *)
   mutable busy_time : int;
 }
 
 let band = function Interrupt -> 0 | Kernel -> 1 | User -> 2
 
 let create eng =
-  { eng; busy = false; queues = Array.init 3 (fun _ -> Queue.create ());
+  { eng; busy = false; queues = Array.init 3 (fun _ -> Engine.waitq ());
     busy_time = 0 }
 
-let next_waiter t =
-  let rec find i =
-    if i >= 3 then None
-    else if Queue.is_empty t.queues.(i) then find (i + 1)
-    else Some (Queue.pop t.queues.(i))
-  in
-  find 0
-
 let acquire t prio =
-  if t.busy then
-    Engine.suspend t.eng (fun resume ->
-        Queue.push resume t.queues.(band prio))
+  if t.busy then Engine.wait t.eng t.queues.(band prio)
     (* the releaser hands ownership directly to us: busy stays true *)
   else t.busy <- true
 
 let release t =
-  match next_waiter t with
-  | Some resume -> resume ()
-  | None -> t.busy <- false
+  let q = t.queues and eng = t.eng in
+  if
+    not
+      (Engine.wake_one eng q.(0) || Engine.wake_one eng q.(1)
+     || Engine.wake_one eng q.(2))
+  then t.busy <- false
 
 let consume t ~prio ns =
   if ns < 0 then invalid_arg "Cpu.consume: negative time";

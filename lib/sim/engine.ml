@@ -10,6 +10,60 @@ type timer = {
   mutable tfn : unit -> unit;
 }
 
+open Effect.Deep
+
+(* The one effect a fiber performs to block. It carries nothing: every
+   blocking call records what it waits for (a heap entry, a wait-queue
+   slot, a resume token) before performing it, so the handler's only
+   job is to park the continuation in the running fiber's record. *)
+type _ Effect.t += Park : unit Effect.t
+
+(* Placeholder for [fiber.k] before a fiber first parks: a real
+   continuation captured once and never resumed. *)
+let no_k : (unit, unit) continuation =
+  let parked : (unit, unit) continuation option ref = ref None in
+  match_with Effect.perform Park
+    {
+      retc = (fun () -> ());
+      exnc = raise;
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | Park -> Some (fun (k : (a, unit) continuation) -> parked := Some k)
+          | _ -> None);
+    };
+  Option.get !parked
+
+let nop = fun () -> ()
+
+(* A fiber's control block, allocated once at spawn together with its
+   [wake] closure; no later sleep, suspension or wakeup allocates
+   either. [gen] counts wakeups from a suspension or a wait queue: a
+   resume token records the generation it was issued at, so using it a
+   second time — or after a later suspension — is detected. [next]
+   links the fiber into at most one wait queue while it is parked
+   there. *)
+type fiber = {
+  mutable k : (unit, unit) continuation; (* valid while parked *)
+  mutable body : unit -> unit; (* entry point until first dispatch *)
+  mutable gen : int;
+  mutable sleeping : bool; (* parked on its own sleep heap entry *)
+  mutable timed_out : bool; (* result of the last [wait_timeout] *)
+  mutable next : fiber;
+  wake : unit -> unit;
+}
+
+let rec no_fiber =
+  {
+    k = no_k;
+    body = nop;
+    gen = 0;
+    sleeping = false;
+    timed_out = false;
+    next = no_fiber;
+    wake = nop;
+  }
+
 type t = {
   mutable now : int;
   events : (unit -> unit) Psd_util.Heap.t;
@@ -25,36 +79,51 @@ type t = {
   mutable alive : int;
   mutable failures : exn list; (* newest first; reversed when read *)
   mutable horizon : int; (* run_until bound; sleeps may not advance past it *)
+  (* The fiber being dispatched. Left pointing at the last one between
+     dispatches (saves a write barrier per event); [in_fiber] says
+     whether it is running right now. *)
+  mutable cur : fiber;
+  mutable in_fiber : bool;
+  handler : (unit, unit) handler; (* shared by every fiber *)
+  on_park : ((unit, unit) continuation -> unit) option;
 }
 
 type cancel = unit -> unit
 
-let nop = fun () -> ()
-
 let dummy_timer = { tnode = None; tfn = nop }
 
-type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
-
-(* Sleep is the hot path (every cost charge passes through it), so it
-   gets its own effect: the handler skips [Suspend]'s resume-closure and
-   double-resume guard. It keeps the same two-step schedule (timer
-   fires, then the fiber re-enters the queue at delay 0) because the
-   re-queue assigns the continuation its sequence number at fire time —
-   same-instant FIFO order is part of the determinism contract, and
-   collapsing the two steps observably reorders lossy runs. *)
-type _ Effect.t += Sleep : int -> unit Effect.t
-
 let create ?(seed = 42) () =
-  {
-    now = 0;
-    events = Psd_util.Heap.create ();
-    timers = Wheel.create ~dummy:dummy_timer ();
-    next_seq = 0;
-    rng = Psd_util.Rng.create ~seed;
-    alive = 0;
-    failures = [];
-    horizon = max_int;
-  }
+  let rec t =
+    {
+      now = 0;
+      events = Psd_util.Heap.create ();
+      timers = Wheel.create ~dummy:dummy_timer ();
+      next_seq = 0;
+      rng = Psd_util.Rng.create ~seed;
+      alive = 0;
+      failures = [];
+      horizon = max_int;
+      cur = no_fiber;
+      in_fiber = false;
+      handler =
+        {
+          retc = (fun () -> t.alive <- t.alive - 1);
+          exnc =
+            (fun e ->
+              t.alive <- t.alive - 1;
+              (* prepend: appending would make accumulating n failures
+                 O(n²); readers reverse once instead *)
+              t.failures <- e :: t.failures);
+          effc =
+            (fun (type a) (e : a Effect.t) ->
+              match e with
+              | Park -> (t.on_park : ((a, unit) continuation -> unit) option)
+              | _ -> None);
+        };
+      on_park = Some (fun k -> t.cur.k <- k);
+    }
+  in
+  t
 
 let now t = t.now
 
@@ -111,64 +180,175 @@ let timer_armed tm = tm.tnode <> None
 
 let timer_nodes_free t = Wheel.pool_size t.timers
 
+(* --- fibers ----------------------------------------------------------- *)
+
+let run_fiber t f =
+  if t.cur != f then t.cur <- f;
+  t.in_fiber <- true;
+  if f.body == nop then continue f.k ()
+  else begin
+    let body = f.body in
+    f.body <- nop;
+    match_with body () t.handler
+  end;
+  t.in_fiber <- false
+
+(* [f] is due now, woken by the event being dispatched (its sleep entry
+   or its [wait_timeout] deadline). A two-step wake would re-queue it at
+   delay 0, taking the next seq: that entry pops after everything
+   already queued at [now] and before anything queued later. So when
+   neither queue holds an entry at [now], the re-queued entry would pop
+   next with nothing in between, and running the fiber here gives the
+   same dispatch order with one heap round trip fewer (no other entry's
+   relative seq changes). Otherwise the re-queue keeps the fiber behind
+   the events already due at this instant. *)
+let wake_from_event t f =
+  if
+    Psd_util.Heap.min_key t.events = t.now || Wheel.min_key t.timers = t.now
+  then Psd_util.Heap.push_seq t.events ~key:t.now ~seq:(alloc_seq t) f.wake
+  else run_fiber t f
+
+(* Body of every fiber's [wake] closure: start it, continue it, or
+   finish a slow-path sleep. *)
+let wake t f =
+  if f.sleeping then begin
+    f.sleeping <- false;
+    wake_from_event t f
+  end
+  else run_fiber t f
+
+let spawn t ?name:_ body =
+  let rec f =
+    {
+      k = no_k;
+      body;
+      gen = 0;
+      sleeping = false;
+      timed_out = false;
+      next = no_fiber;
+      wake = (fun () -> wake t f);
+    }
+  in
+  t.alive <- t.alive + 1;
+  schedule t 0 f.wake
+
+(* The running fiber, which must belong to [t]. Checked before any of
+   [t]'s state is read or changed, so a misdirected call raises in the
+   calling fiber and leaves both engines as they were. *)
+let current t fn =
+  if not t.in_fiber then
+    invalid_arg (fn ^ ": not called from a running fiber of this engine");
+  t.cur
+
 let suspend t register =
-  ignore t;
-  Effect.perform (Suspend register)
+  let f = current t "Engine.suspend" in
+  let gen = f.gen in
+  register (fun () ->
+      if f.gen <> gen then invalid_arg "Engine: fiber resumed twice";
+      f.gen <- gen + 1;
+      schedule t 0 f.wake);
+  Effect.perform Park
 
 let sleep t dt =
   if dt < 0 then invalid_arg "Engine.sleep: negative delay";
+  let f = current t "Engine.sleep" in
   let target = t.now + dt in
-  (* Bypass: if no queued event fires at or before [target] (and the
-     run horizon doesn't cut the sleep short), the two-step schedule
-     would pop the timer, re-queue the continuation, and pop it again
-     with nothing able to interleave — the fiber wakes with the heap in
-     exactly the state it left it, and no other push can happen in
-     between, so relative sequence order of every real event is
-     unchanged.  Advancing the clock inline is observationally
-     identical and skips two heap operations and two effect
-     stack-switches.  ~70% of steady-state events are these
-     uncontended cost-charge sleeps. *)
+  (* Call-time bypass: if no queued event fires at or before [target]
+     (and the run horizon doesn't cut the sleep short), nothing can run
+     between parking and waking, so advancing the clock inline is
+     observationally identical and skips the heap and the effect
+     switch. ~70% of steady-state events are these uncontended
+     cost-charge sleeps. *)
   if
     target <= t.horizon
     && Psd_util.Heap.min_key t.events > target
     && Wheel.min_key t.timers > target
   then t.now <- target
-  else Effect.perform (Sleep dt)
+  else begin
+    f.sleeping <- true;
+    Psd_util.Heap.push_seq t.events ~key:target ~seq:(alloc_seq t) f.wake;
+    Effect.perform Park
+  end
 
-let spawn t ?name:_ f =
-  let body () =
-    let open Effect.Deep in
-    match_with f ()
-      {
-        retc = (fun () -> t.alive <- t.alive - 1);
-        exnc =
-          (fun e ->
-            t.alive <- t.alive - 1;
-            (* prepend: appending would make accumulating n failures
-               O(n²); readers reverse once instead *)
-            t.failures <- e :: t.failures);
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Suspend register ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let resumed = ref false in
-                  register (fun () ->
-                      if !resumed then
-                        invalid_arg "Engine: fiber resumed twice";
-                      resumed := true;
-                      schedule t 0 (fun () -> continue k ())))
-            | Sleep dt ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  schedule t dt (fun () ->
-                      schedule t 0 (fun () -> continue k ())))
-            | _ -> None);
-      }
-  in
-  t.alive <- t.alive + 1;
-  schedule t 0 body
+(* --- wait queues ------------------------------------------------------ *)
+
+(* FIFO of parked fibers, linked through [fiber.next]; empty when
+   [len = 0] ([head]/[tail] are then [no_fiber], so a drained queue
+   retains nothing). *)
+type waitq = { mutable head : fiber; mutable tail : fiber; mutable len : int }
+
+let waitq () = { head = no_fiber; tail = no_fiber; len = 0 }
+
+let waiting q = q.len
+
+let enqueue q f =
+  if q.len = 0 then q.head <- f else q.tail.next <- f;
+  q.tail <- f;
+  q.len <- q.len + 1
+
+let dequeue q =
+  let f = q.head in
+  q.len <- q.len - 1;
+  if q.len = 0 then begin
+    q.head <- no_fiber;
+    q.tail <- no_fiber
+  end
+  else begin
+    q.head <- f.next;
+    f.next <- no_fiber
+  end;
+  f
+
+(* Unlink [f] from the middle of [q]; only a timed-out waiter is
+   removed this way, so the walk from the head is rare and short. *)
+let remove q f =
+  if q.head == f then ignore (dequeue q)
+  else begin
+    let rec pred p = if p.next == f then p else pred p.next in
+    let p = pred q.head in
+    p.next <- f.next;
+    f.next <- no_fiber;
+    if q.tail == f then q.tail <- p;
+    q.len <- q.len - 1
+  end
+
+let wait t q =
+  let f = current t "Engine.wait" in
+  enqueue q f;
+  Effect.perform Park
+
+let wake_one t q =
+  q.len > 0
+  &&
+  let f = dequeue q in
+  f.gen <- f.gen + 1;
+  schedule t 0 f.wake;
+  true
+
+let wake_all t q =
+  while wake_one t q do
+    ()
+  done
+
+let wait_timeout t q dt =
+  if dt < 0 then invalid_arg "Engine.wait_timeout: negative delay";
+  let f = current t "Engine.wait_timeout" in
+  enqueue q f;
+  f.timed_out <- false;
+  let gen = f.gen in
+  (* never cancelled: a waiter woken first leaves this entry to fire as
+     a no-op, since [gen] has moved on *)
+  schedule t dt (fun () ->
+      if f.gen = gen then begin
+        remove q f;
+        f.timed_out <- true;
+        f.gen <- gen + 1;
+        wake_from_event t f
+      end);
+  Effect.perform Park;
+  f.timed_out
+
+(* --- dispatch --------------------------------------------------------- *)
 
 (* Next event across both queues is the (key, seq) minimum; the shared
    seq counter makes the comparison a strict total order. *)
@@ -205,6 +385,30 @@ let step t =
     true
   end
 
+(* The engine whose loop is innermost on this domain. A loop entered
+   from inside another engine's fiber hides that fiber ([in_fiber]
+   false) until it returns, so a fiber of the inner engine cannot
+   sleep, suspend or wait on the outer one. Its [cur] is restored too,
+   for a loop re-entered from one of the engine's own fibers. *)
+let innermost : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let dispatching t loop =
+  let outer = Domain.DLS.get innermost in
+  let unhide =
+    match outer with
+    | None -> ignore
+    | Some o ->
+      let cur = o.cur and in_fiber = o.in_fiber in
+      o.in_fiber <- false;
+      fun () ->
+        o.cur <- cur;
+        o.in_fiber <- in_fiber
+  in
+  Domain.DLS.set innermost (Some t);
+  Fun.protect loop ~finally:(fun () ->
+      Domain.DLS.set innermost outer;
+      unhide ())
+
 let check_failures t =
   match List.rev t.failures with
   | [] -> ()
@@ -214,20 +418,22 @@ let check_failures t =
          (List.length t.failures) (Printexc.to_string e))
 
 let run t =
-  while step t do
-    ()
-  done;
+  dispatching t (fun () ->
+      while step t do
+        ()
+      done);
   check_failures t
 
 let run_until t stop =
   let saved = t.horizon in
   t.horizon <- stop;
-  while
-    let nk = next_key t in
-    nk <> max_int && nk <= stop
-  do
-    ignore (step t)
-  done;
+  dispatching t (fun () ->
+      while
+        let nk = next_key t in
+        nk <> max_int && nk <= stop
+      do
+        ignore (step t)
+      done);
   t.horizon <- saved;
   if t.now < stop then t.now <- stop;
   check_failures t

@@ -34,13 +34,40 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
 
 val sleep : t -> int -> unit
 (** Block the calling fiber for the given number of nanoseconds.
-    Must be called from within a fiber. *)
+
+    The caller must be a fiber of this engine that is running right now:
+    a fiber sleeps, suspends and waits only on the engine that spawned
+    it. Called from outside a fiber (top level, or a {!schedule}
+    callback), or from a fiber of another engine (including one whose
+    loop was entered from inside a fiber of this engine), it raises
+    [Invalid_argument] before reading or changing this engine's state.
+
+    Dispatch order is that of a two-step wake: an entry at [now + dt]
+    whose firing re-queues the fiber at delay 0. Two bypasses skip
+    steps that cannot be observed:
+    - at the call, if no queued event is due at or before [now + dt]
+      and the {!run_until} horizon is not below it, the clock advances
+      inline and the fiber never parks;
+    - when the entry fires, if neither the event heap nor the timer
+      wheel holds another entry at [now], the fiber continues at once
+      instead of being re-queued (the re-queued entry would be the next
+      one popped). Otherwise it is re-queued behind the events already
+      due at this instant.
+    Both keep every other event's relative [(time, seq)] order; they
+    only lower {!events_scheduled}.
+    @raise Invalid_argument on a negative delay. *)
 
 val suspend : t -> ((unit -> unit) -> unit) -> unit
-(** [suspend t register] blocks the calling fiber and calls
-    [register resume]. Invoking [resume] (exactly once, from any context)
-    schedules the fiber to continue at the then-current virtual time.
-    This is the primitive from which blocking abstractions are built. *)
+(** [suspend t register] blocks the calling fiber (which must be a
+    running fiber of [t], as for {!sleep}) after calling
+    [register resume]. Invoking [resume] exactly once, from any context
+    and even before [register] returns, schedules the fiber to continue
+    at the then-current virtual time (at delay 0, behind the events
+    already queued for that instant). This is the primitive from which
+    blocking abstractions outside this library are built.
+    @raise Invalid_argument ["Engine: fiber resumed twice"] from
+    [resume] when it is called a second time, or after the fiber was
+    resumed and suspended again (a stale token). *)
 
 val schedule : t -> int -> (unit -> unit) -> unit
 (** [schedule t dt f] runs callback [f] (not a fiber; it must not block)
@@ -89,6 +116,39 @@ val timer_armed : timer -> bool
 val timer_nodes_free : t -> int
 (** Wheel nodes currently parked on the engine's free list
     (pool-reuse diagnostics for the scale benchmark). *)
+
+(** {2 Wait queues}
+
+    FIFO queues of parked fibers, the building block of {!Cpu},
+    {!Lock} and {!Cond}. A queue is intrusive: waiting links the
+    fiber's own control block, so waiting and waking allocate nothing.
+    The caller of {!wait}/{!wait_timeout} must be a running fiber of the
+    engine, as for {!sleep}. *)
+
+type waitq
+
+val waitq : unit -> waitq
+(** An empty queue. *)
+
+val wait : t -> waitq -> unit
+(** Park the calling fiber at the tail of the queue until {!wake_one}
+    or {!wake_all} reaches it. *)
+
+val wait_timeout : t -> waitq -> int -> bool
+(** [wait_timeout t q dt] is {!wait} with a deadline [dt] ns away:
+    [true] when the deadline woke the fiber (it was taken off the queue
+    then), [false] when a wake reached it first. A wake that runs at the
+    deadline's instant but before its entry still wins. *)
+
+val wake_one : t -> waitq -> bool
+(** Take the oldest waiter off the queue and schedule it to continue
+    now (at delay 0); [false] when the queue is empty. *)
+
+val wake_all : t -> waitq -> unit
+(** {!wake_one} until the queue is empty, oldest first. *)
+
+val waiting : waitq -> int
+(** Fibers parked on the queue. *)
 
 val run : t -> unit
 (** Dispatch events until none remain.

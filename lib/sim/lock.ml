@@ -1,21 +1,16 @@
-type t = {
-  eng : Engine.t;
-  mutable held : bool;
-  waiters : (unit -> unit) Queue.t;
-}
+type t = { eng : Engine.t; mutable held : bool; waiters : Engine.waitq }
 
-let create eng = { eng; held = false; waiters = Queue.create () }
+let create eng = { eng; held = false; waiters = Engine.waitq () }
 
 let acquire t =
   if t.held then
     (* Ownership is handed off directly by release. *)
-    Engine.suspend t.eng (fun resume -> Queue.push resume t.waiters)
+    Engine.wait t.eng t.waiters
   else t.held <- true
 
 let release t =
   if not t.held then invalid_arg "Lock.release: not held";
-  if Queue.is_empty t.waiters then t.held <- false
-  else (Queue.pop t.waiters) ()
+  if not (Engine.wake_one t.eng t.waiters) then t.held <- false
 
 let with_lock t f =
   acquire t;

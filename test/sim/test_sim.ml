@@ -481,6 +481,520 @@ let prop_sleep_sums =
       Engine.run eng;
       !finished = List.fold_left ( + ) 0 sleeps)
 
+(* --- resume tokens ---------------------------------------------------- *)
+
+let resumed_twice = Invalid_argument "Engine: fiber resumed twice"
+
+let test_double_resume_raises () =
+  let eng = Engine.create () in
+  let raised = ref false in
+  let finished = ref false in
+  Engine.spawn eng (fun () ->
+      Engine.suspend eng (fun resume ->
+          Engine.schedule eng 10 (fun () ->
+              resume ();
+              Alcotest.check_raises "second call" resumed_twice resume;
+              raised := true));
+      finished := true);
+  Engine.run eng;
+  Alcotest.(check bool) "second resume raised" true !raised;
+  Alcotest.(check bool) "fiber ran once to the end" true !finished;
+  Alcotest.(check int) "no fibers left" 0 (Engine.alive eng)
+
+let test_stale_resume_raises () =
+  (* A token from the first suspension, used while the fiber is parked
+     in a second one, must not wake it. *)
+  let eng = Engine.create () in
+  let first = ref ignore in
+  let woke_at = ref [] in
+  Engine.spawn eng (fun () ->
+      Engine.suspend eng (fun resume ->
+          first := resume;
+          Engine.schedule eng 10 resume);
+      woke_at := Engine.now eng :: !woke_at;
+      Engine.suspend eng (fun resume -> Engine.schedule eng 100 resume);
+      woke_at := Engine.now eng :: !woke_at);
+  Engine.schedule eng 50 (fun () ->
+      Alcotest.check_raises "stale token" resumed_twice !first);
+  Engine.run eng;
+  Alcotest.(check (list int)) "woken only by live tokens" [ 10; 110 ]
+    (List.rev !woke_at);
+  Alcotest.(check int) "no fibers left" 0 (Engine.alive eng)
+
+(* --- misdirected blocking calls ------------------------------------- *)
+
+let raises_invalid_arg f =
+  match f () with
+  | () -> false
+  | exception Invalid_argument _ -> true
+
+let test_sleep_outside_fiber () =
+  let eng = Engine.create () in
+  Alcotest.(check bool) "top level" true
+    (raises_invalid_arg (fun () -> Engine.sleep eng 5));
+  Alcotest.(check int) "clock untouched" 0 (Engine.now eng);
+  Engine.schedule eng 3 (fun () -> Engine.sleep eng 5);
+  Alcotest.(check bool) "from a callback" true
+    (raises_invalid_arg (fun () -> Engine.run eng));
+  (* the engine keeps working after both *)
+  let woke = ref 0 in
+  Engine.spawn eng (fun () ->
+      Engine.sleep eng 7;
+      woke := Engine.now eng);
+  Engine.run eng;
+  Alcotest.(check int) "later fiber sleeps normally" 10 !woke
+
+let test_sleep_on_other_engine () =
+  let a = Engine.create () and b = Engine.create () in
+  let idle_raised = ref false and nested_raised = ref false in
+  let a_woke = ref 0 in
+  Engine.spawn a (fun () ->
+      (* [b] is not dispatching at all *)
+      idle_raised := raises_invalid_arg (fun () -> Engine.sleep b 5);
+      (* [b]'s loop runs inside this fiber; its fiber tries to sleep
+         on [a] *)
+      Engine.spawn b (fun () ->
+          nested_raised := raises_invalid_arg (fun () -> Engine.sleep a 5);
+          Engine.sleep b 4);
+      Engine.run b;
+      Engine.sleep a 7;
+      a_woke := Engine.now a);
+  Engine.run a;
+  Alcotest.(check bool) "idle engine refuses" true !idle_raised;
+  Alcotest.(check bool) "outer engine refuses" true !nested_raised;
+  Alcotest.(check int) "outer fiber still sleeps on its engine" 7 !a_woke;
+  Alcotest.(check int) "inner engine ran its own sleep" 4 (Engine.now b);
+  Alcotest.(check int) "both drained" 0 (Engine.alive a + Engine.alive b)
+
+(* --- ordering differential against the closure-based core ----------- *)
+
+(* A reference copy of the closure-based fiber core the engine used
+   before its control blocks and wait queues: a slow-path sleep pushes
+   a closure that re-queues a second closure at delay 0, a suspension
+   hands [register] a guarded resume closure, and Cpu, Lock and Cond
+   keep their waiters in a [Queue] or a list. The call-time sleep
+   bypass is the same in both. *)
+module Ref = struct
+  module Heap = Psd_util.Heap
+
+  type t = {
+    mutable now : int;
+    events : (unit -> unit) Heap.t;
+    timers : (unit -> unit) Wheel.t;
+    mutable next_seq : int;
+    mutable horizon : int;
+  }
+
+  type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+  type _ Effect.t += Sleep : int -> unit Effect.t
+
+  let create () =
+    {
+      now = 0;
+      events = Heap.create ();
+      timers = Wheel.create ~dummy:ignore ();
+      next_seq = 0;
+      horizon = max_int;
+    }
+
+  let now t = t.now
+
+  let alloc_seq t =
+    let s = t.next_seq in
+    t.next_seq <- s + 1;
+    s
+
+  let schedule t dt f =
+    Heap.push_seq t.events ~key:(t.now + dt) ~seq:(alloc_seq t) f
+
+  let after t dt f = schedule t dt f
+
+  let timer_arm t dt f =
+    ignore (Wheel.insert t.timers ~key:(t.now + dt) ~seq:(alloc_seq t) f)
+
+  let suspend _ register = Effect.perform (Suspend register)
+
+  let sleep t dt =
+    let target = t.now + dt in
+    if
+      target <= t.horizon
+      && Heap.min_key t.events > target
+      && Wheel.min_key t.timers > target
+    then t.now <- target
+    else Effect.perform (Sleep dt)
+
+  let spawn t f =
+    let body () =
+      let open Effect.Deep in
+      match_with f ()
+        {
+          retc = (fun () -> ());
+          exnc = raise;
+          effc =
+            (fun (type a) (eff : a Effect.t) ->
+              match eff with
+              | Suspend register ->
+                Some
+                  (fun (k : (a, unit) continuation) ->
+                    let resumed = ref false in
+                    register (fun () ->
+                        if !resumed then
+                          invalid_arg "Engine: fiber resumed twice";
+                        resumed := true;
+                        schedule t 0 (fun () -> continue k ())))
+              | Sleep dt ->
+                Some
+                  (fun (k : (a, unit) continuation) ->
+                    schedule t dt (fun () ->
+                        schedule t 0 (fun () -> continue k ())))
+              | _ -> None);
+        }
+    in
+    schedule t 0 body
+
+  let next_key t = min (Heap.min_key t.events) (Wheel.min_key t.timers)
+
+  let step t =
+    let hk = Heap.min_key t.events and wk = Wheel.min_key t.timers in
+    if wk < hk || (wk = hk && Wheel.min_seq t.timers < Heap.min_seq t.events)
+    then begin
+      t.now <- wk;
+      (Wheel.pop_min t.timers) ()
+    end
+    else begin
+      t.now <- hk;
+      (Heap.pop_min t.events) ()
+    end
+
+  let run t =
+    while next_key t <> max_int do
+      step t
+    done
+
+  let run_until t stop =
+    t.horizon <- stop;
+    while
+      let nk = next_key t in
+      nk <> max_int && nk <= stop
+    do
+      step t
+    done;
+    t.horizon <- max_int;
+    if t.now < stop then t.now <- stop
+
+  type cpu = {
+    ceng : t;
+    mutable busy : bool;
+    queues : (unit -> unit) Queue.t array;
+  }
+
+  let cpu eng =
+    { ceng = eng; busy = false; queues = Array.init 3 (fun _ -> Queue.create ()) }
+
+  let consume c ~prio ns =
+    let band = match prio with Cpu.Interrupt -> 0 | Kernel -> 1 | User -> 2 in
+    if ns > 0 then begin
+      if c.busy then
+        suspend c.ceng (fun resume -> Queue.push resume c.queues.(band))
+      else c.busy <- true;
+      sleep c.ceng ns;
+      let rec next i =
+        if i >= 3 then c.busy <- false
+        else if Queue.is_empty c.queues.(i) then next (i + 1)
+        else (Queue.pop c.queues.(i)) ()
+      in
+      next 0
+    end
+
+  type waiter = { mutable fired : bool; resume : unit -> unit }
+  type cond = { weng : t; mutable queue : waiter list }
+
+  let cond eng = { weng = eng; queue = [] }
+
+  let wait c =
+    suspend c.weng (fun resume ->
+        c.queue <- c.queue @ [ { fired = false; resume } ])
+
+  let fire w =
+    if not w.fired then begin
+      w.fired <- true;
+      w.resume ()
+    end
+
+  let signal c =
+    match c.queue with
+    | [] -> ()
+    | w :: rest ->
+      c.queue <- rest;
+      fire w
+
+  let broadcast c =
+    let q = c.queue in
+    c.queue <- [];
+    List.iter fire q
+
+  let wait_timeout c dt =
+    let result = ref `Ok in
+    suspend c.weng (fun resume ->
+        let w = { fired = false; resume } in
+        c.queue <- c.queue @ [ w ];
+        after c.weng dt (fun () ->
+            if not w.fired then begin
+              result := `Timeout;
+              c.queue <- List.filter (fun w' -> w' != w) c.queue;
+              fire w
+            end));
+    !result
+
+  type lock = { leng : t; mutable held : bool; lwaiters : (unit -> unit) Queue.t }
+
+  let lock eng = { leng = eng; held = false; lwaiters = Queue.create () }
+
+  let acquire l =
+    if l.held then suspend l.leng (fun resume -> Queue.push resume l.lwaiters)
+    else l.held <- true
+
+  let release l =
+    if Queue.is_empty l.lwaiters then l.held <- false
+    else (Queue.pop l.lwaiters) ()
+end
+
+module type CORE = sig
+  type t
+  type cpu
+  type cond
+  type lock
+
+  val create : unit -> t
+  val now : t -> int
+  val spawn : t -> (unit -> unit) -> unit
+  val sleep : t -> int -> unit
+  val suspend : t -> ((unit -> unit) -> unit) -> unit
+  val schedule : t -> int -> (unit -> unit) -> unit
+  val timer_arm : t -> int -> (unit -> unit) -> unit
+  val run_until : t -> int -> unit
+  val run : t -> unit
+  val cpu : t -> cpu
+  val consume : cpu -> prio:Cpu.prio -> int -> unit
+  val cond : t -> cond
+  val wait : cond -> unit
+  val wait_timeout : cond -> int -> [ `Ok | `Timeout ]
+  val signal : cond -> unit
+  val broadcast : cond -> unit
+  val lock : t -> lock
+  val acquire : lock -> unit
+  val release : lock -> unit
+end
+
+module Current : CORE = struct
+  include Engine
+
+  type cpu = Cpu.t
+  type cond = Cond.t
+  type lock = Lock.t
+
+  let create () = Engine.create ()
+  let spawn t f = Engine.spawn t f
+  let timer_arm t dt f = Engine.timer_arm t (Engine.timer ()) dt f
+  let cpu = Cpu.create
+  let consume = Cpu.consume
+  let cond = Cond.create
+  let wait = Cond.wait
+  let wait_timeout = Cond.wait_timeout
+  let signal = Cond.signal
+  let broadcast = Cond.broadcast
+  let lock = Lock.create
+  let acquire = Lock.acquire
+  let release = Lock.release
+end
+
+type op =
+  | Sleep of int
+  | Consume of Cpu.prio * int
+  | Wait of int
+  | Wait_timeout of int * int
+  | Signal of int
+  | Broadcast of int
+  | Locked of int * int (* hold lock [i] across a sleep *)
+  | Suspend of int (* resumed by a callback this many ns later *)
+  | Schedule of int * int (* callback after [d] that signals cond [i] *)
+  | Arm of int (* one-shot wheel timer *)
+  | Spawn of op list
+
+let rec show_op = function
+  | Sleep d -> Printf.sprintf "Sleep %d" d
+  | Consume (p, d) ->
+    Printf.sprintf "Consume(%s,%d)"
+      (match p with Cpu.Interrupt -> "I" | Kernel -> "K" | User -> "U")
+      d
+  | Wait i -> Printf.sprintf "Wait %d" i
+  | Wait_timeout (i, d) -> Printf.sprintf "Wait_timeout(%d,%d)" i d
+  | Signal i -> Printf.sprintf "Signal %d" i
+  | Broadcast i -> Printf.sprintf "Broadcast %d" i
+  | Locked (i, d) -> Printf.sprintf "Locked(%d,%d)" i d
+  | Suspend d -> Printf.sprintf "Suspend %d" d
+  | Schedule (d, i) -> Printf.sprintf "Schedule(%d,%d)" d i
+  | Arm d -> Printf.sprintf "Arm %d" d
+  | Spawn ops -> "Spawn[" ^ String.concat "; " (List.map show_op ops) ^ "]"
+
+(* Runs a program on one core and returns its trace: one
+   (now, fiber, step, result) entry per completed step, per callback
+   and per run_until horizon reached. *)
+module Interp (C : CORE) = struct
+  let trace (fibers, horizons) =
+    let eng = C.create () in
+    let cpu = C.cpu eng in
+    let conds = Array.init 2 (fun _ -> C.cond eng) in
+    let locks = Array.init 2 (fun _ -> C.lock eng) in
+    let log = ref [] in
+    let note fiber step result =
+      log := (C.now eng, fiber, step, result) :: !log
+    in
+    let ids = ref 0 in
+    let rec spawn ops =
+      let id = !ids in
+      incr ids;
+      C.spawn eng (fun () ->
+          List.iteri (fun step op -> note id step (exec id step op)) ops)
+    and exec id step = function
+      | Sleep d -> C.sleep eng d; 0
+      | Consume (prio, d) -> C.consume cpu ~prio d; 0
+      | Wait i -> C.wait conds.(i); 0
+      | Wait_timeout (i, d) -> (
+        match C.wait_timeout conds.(i) d with `Ok -> 0 | `Timeout -> 1)
+      | Signal i -> C.signal conds.(i); 0
+      | Broadcast i -> C.broadcast conds.(i); 0
+      | Locked (i, d) ->
+        C.acquire locks.(i);
+        C.sleep eng d;
+        C.release locks.(i);
+        0
+      | Suspend d -> C.suspend eng (fun resume -> C.schedule eng d resume); 0
+      | Schedule (d, i) ->
+        C.schedule eng d (fun () ->
+            note id step 2;
+            C.signal conds.(i));
+        0
+      | Arm d -> C.timer_arm eng d (fun () -> note id step 3); 0
+      | Spawn ops -> spawn ops; 0
+    in
+    List.iter spawn fibers;
+    List.iter
+      (fun h ->
+        C.run_until eng h;
+        note (-1) h 4)
+      horizons;
+    C.run eng;
+    List.rev !log
+end
+
+module Trace_ref = Interp (Ref)
+module Trace_cur = Interp (Current)
+
+let prop_core_differential =
+  let open QCheck.Gen in
+  (* few distinct delays, so wakeups collide at one instant *)
+  let delay = oneofl [ 0; 0; 1; 5; 10; 10; 20; 50 ] in
+  let prio = oneofl [ Cpu.Interrupt; Cpu.Kernel; Cpu.User ] in
+  let idx = int_bound 1 in
+  let rec ops depth = list_size (1 -- 6) (op depth)
+  and op depth =
+    frequency
+      ([
+         (4, map (fun d -> Sleep d) delay);
+         (3, map2 (fun p d -> Consume (p, d)) prio delay);
+         (2, map (fun i -> Wait i) idx);
+         (2, map2 (fun i d -> Wait_timeout (i, d)) idx delay);
+         (2, map (fun i -> Signal i) idx);
+         (1, map (fun i -> Broadcast i) idx);
+         (2, map2 (fun i d -> Locked (i, d)) idx delay);
+         (1, map (fun d -> Suspend d) delay);
+         (2, map2 (fun d i -> Schedule (d, i)) delay idx);
+         (1, map (fun d -> Arm d) delay);
+       ]
+      @ if depth > 0 then [ (1, map (fun o -> Spawn o) (ops (depth - 1))) ]
+        else [])
+  in
+  let program =
+    pair
+      (list_size (1 -- 5) (ops 2))
+      (map (List.sort compare) (list_size (0 -- 3) (int_bound 100)))
+  in
+  let print (fibers, horizons) =
+    String.concat "\n"
+      (List.map
+         (fun ops -> "[" ^ String.concat "; " (List.map show_op ops) ^ "]")
+         fibers)
+    ^ "\nhorizons: "
+    ^ String.concat "," (List.map string_of_int horizons)
+  in
+  QCheck.Test.make ~name:"engine: same trace as the closure-based core"
+    ~count:1000 (QCheck.make ~print program) (fun p ->
+      Trace_ref.trace p = Trace_cur.trace p)
+
+(* --- allocation guard ------------------------------------------------ *)
+
+(* A fixed contended program: four fibers share one Cpu across all
+   three priority bands, two fibers ping-pong on a pair of Conds, and
+   three fibers hand a Lock off across a sleep. Every fiber operation
+   here parks, wakes or charges time, so the minor words per operation
+   measure the engine's own cost. *)
+let contended_words_per_op () =
+  let rounds = 2000 in
+  let eng = Engine.create () in
+  let cpu = Cpu.create eng in
+  let ping = Cond.create eng and pong = Cond.create eng in
+  let lock = Lock.create eng in
+  let ops = ref 0 in
+  let prios = [| Cpu.Interrupt; Cpu.Kernel; Cpu.User; Cpu.User |] in
+  Array.iter
+    (fun prio ->
+      Engine.spawn eng (fun () ->
+          for _ = 1 to rounds do
+            Cpu.consume cpu ~prio 100;
+            incr ops
+          done))
+    prios;
+  let turn = ref 0 in
+  let player me mine other =
+    Engine.spawn eng (fun () ->
+        for _ = 1 to rounds do
+          while !turn <> me do
+            Cond.wait mine
+          done;
+          turn := 1 - me;
+          Cond.signal other;
+          incr ops
+        done)
+  in
+  player 0 ping pong;
+  player 1 pong ping;
+  for _ = 1 to 3 do
+    Engine.spawn eng (fun () ->
+        for _ = 1 to rounds do
+          Lock.acquire lock;
+          Engine.sleep eng 50;
+          Lock.release lock;
+          incr ops
+        done)
+  done;
+  let w0 = Gc.minor_words () in
+  Engine.run eng;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check int) "every fiber finished" 0 (Engine.alive eng);
+  Alcotest.(check int) "every operation ran" (9 * rounds) !ops;
+  (w1 -. w0) /. float_of_int !ops
+
+let test_engine_allocation_guard () =
+  (* Measured 2.7 words per operation (OCaml 5.1.1, x86-64): what is
+     left is mostly the continuation block each park allocates. The
+     bound leaves headroom for compiler and runtime variation and trips
+     when a per-wait record, queue cell or re-queue closure comes
+     back. *)
+  let per_op = contended_words_per_op () in
+  if per_op >= 5. then
+    Alcotest.failf "engine allocation regression: %.1f minor words/op" per_op
+
 let () =
   Alcotest.run "psd_sim"
     [
@@ -501,6 +1015,20 @@ let () =
           Alcotest.test_case "schedule_abs past key" `Quick
             test_schedule_abs_past_key;
           QCheck_alcotest.to_alcotest prop_sleep_sums;
+          Alcotest.test_case "double resume raises" `Quick
+            test_double_resume_raises;
+          Alcotest.test_case "stale resume raises" `Quick
+            test_stale_resume_raises;
+          Alcotest.test_case "sleep outside a fiber" `Quick
+            test_sleep_outside_fiber;
+          Alcotest.test_case "sleep on another engine" `Quick
+            test_sleep_on_other_engine;
+          QCheck_alcotest.to_alcotest prop_core_differential;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "engine allocation guard" `Quick
+            test_engine_allocation_guard;
         ] );
       ( "wheel",
         [
