@@ -107,64 +107,54 @@ let flat_of_spec spec =
     f_remote_port = Option.map (fun p -> p land 0xffffffff) spec.remote_port;
   }
 
-exception Done of int
+(* Straight-line transliteration: every test reads the frame in place
+   and returns as soon as the program would, with the instruction count
+   spelled out (a load that runs off the frame rejects with the
+   faulting load counted, as Vm.load_size does; a taken jump to a Ret
+   counts the jump and the Ret). [s] is the count before the step. No
+   closure, no ref, no exception: the only allocation is the result
+   pair. *)
+
+(* Fragment test, then the port checks; [s] instructions ran so far. *)
+let flat_ports f pkt off len s =
+  if off_ip_frag + 2 > len then (0, s + 1)
+  else if Psd_util.Codec.get_u16 pkt (off + off_ip_frag) land 0x1fff <> 0
+  then (snaplen, s + 3)
+  else if off_ip + 1 > len then (0, s + 3) (* ldx msh *)
+  else
+    let ihl4 = 4 * (Char.code (Bytes.unsafe_get pkt (off + off_ip)) land 0xf) in
+    let dport = ihl4 + off_ip + 2 in
+    if dport + 2 > len then (0, s + 4)
+    else if Psd_util.Codec.get_u16 pkt (off + dport) <> f.f_local_port then
+      (0, s + 6)
+    else
+      match f.f_remote_port with
+      | None -> (snaplen, s + 6)
+      | Some p ->
+        let sport = ihl4 + off_ip in
+        if sport + 2 > len then (0, s + 6)
+        else if Psd_util.Codec.get_u16 pkt (off + sport) <> p then (0, s + 8)
+        else (snaplen, s + 8)
 
 let flat_match f pkt ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length pkt then
     invalid_arg "Filter.flat_match";
-  let steps = ref 0 in
-  (* Each load/jump helper counts the one VM instruction it stands for.
-     A load that would run off the end of the frame rejects immediately,
-     as Vm.load_size does, with the faulting instruction counted. *)
-  let ld_u8 rel =
-    incr steps;
-    if rel + 1 > len then raise (Done 0)
-    else Char.code (Bytes.unsafe_get pkt (off + rel))
-  in
-  let ld_u16 rel =
-    incr steps;
-    if rel + 2 > len then raise (Done 0)
-    else Psd_util.Codec.get_u16 pkt (off + rel)
-  in
-  let ld_u32 rel =
-    incr steps;
-    if rel + 4 > len then raise (Done 0)
-    else Psd_util.Codec.get_u32i pkt (off + rel)
-  in
-  let jmp_to_ret v =
-    (* the conditional jump, then the Ret at its target *)
-    steps := !steps + 2;
-    raise (Done v)
-  in
-  let jmp () = incr steps in
-  let result =
-    try
-      let ety = ld_u16 off_ethertype in
-      if ety <> ethertype_ip then jmp_to_ret 0 else jmp ();
-      let proto = ld_u8 off_ip_proto in
-      if proto <> f.f_proto then jmp_to_ret 0 else jmp ();
-      let dst = ld_u32 off_ip_dst in
-      if dst <> f.f_local_ip then jmp_to_ret 0 else jmp ();
-      (match f.f_remote_ip with
-      | None -> ()
-      | Some ip ->
-        let src = ld_u32 off_ip_src in
-        if src <> ip then jmp_to_ret 0 else jmp ());
-      let frag = ld_u16 off_ip_frag in
-      if frag land 0x1fff <> 0 then jmp_to_ret snaplen else jmp ();
-      let ihl4 = 4 * (ld_u8 off_ip land 0xf) (* ldx msh *) in
-      let dport = ld_u16 (ihl4 + off_ip + 2) in
-      if dport <> f.f_local_port then jmp_to_ret 0 else jmp ();
-      (match f.f_remote_port with
-      | None -> ()
-      | Some p ->
-        let sport = ld_u16 (ihl4 + off_ip) in
-        if sport <> p then jmp_to_ret 0 else jmp ());
-      incr steps (* the accept Ret *);
-      snaplen
-    with Done v -> v
-  in
-  (result, !steps)
+  if off_ethertype + 2 > len then (0, 1)
+  else if Psd_util.Codec.get_u16 pkt (off + off_ethertype) <> ethertype_ip
+  then (0, 3)
+  else if off_ip_proto + 1 > len then (0, 3)
+  else if Char.code (Bytes.unsafe_get pkt (off + off_ip_proto)) <> f.f_proto
+  then (0, 5)
+  else if off_ip_dst + 4 > len then (0, 5)
+  else if Psd_util.Codec.get_u32i pkt (off + off_ip_dst) <> f.f_local_ip then
+    (0, 7)
+  else
+    match f.f_remote_ip with
+    | None -> flat_ports f pkt off len 6
+    | Some ip ->
+      if off_ip_src + 4 > len then (0, 7)
+      else if Psd_util.Codec.get_u32i pkt (off + off_ip_src) <> ip then (0, 9)
+      else flat_ports f pkt off len 8
 
 let flat_run f pkt = flat_match f pkt ~off:0 ~len:(Bytes.length pkt)
 

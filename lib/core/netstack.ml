@@ -149,24 +149,20 @@ let create ~ctx ~netdev ~addr ~routes ~arp ~arp_cache ~input ?rcv_buf
             Psd_arp.Cache.insert arp_cache next_hop mac;
             encapsulate t ~dst_mac:mac packet
           | None -> ())));
-  (* input fiber: dequeue the whole packet train accumulated since the
-     last wakeup, then process it — one block/wakeup per train instead of
-     per packet. Popping a non-empty queue never blocks or charges, so
-     the charge/event sequence is identical to the per-packet loop. *)
+  (* input fiber: take one frame at a time, oldest first. A receiver
+     woken once still consumes the whole packet train that accumulated
+     meanwhile, since popping a non-empty queue never blocks or
+     charges; it only blocks (and is woken) when the queue is empty. *)
   Psd_sim.Engine.spawn ctx.Ctx.eng ~name:"stack-input" (fun () ->
-      let rec loop () =
-        let frames =
-          match input with
-          | Netisr_queue -> (
-            match Psd_sim.Mailbox.drain netisr_q with
-            | [] -> [ Psd_sim.Mailbox.recv netisr_q ]
-            | fs -> fs)
-          | Chan chan -> Psd_mach.Pktchan.recv_batch chan
-        in
-        List.iter (process_frame t) frames;
-        loop ()
-      in
-      loop ());
+      match input with
+      | Netisr_queue ->
+        while true do
+          process_frame t (Psd_sim.Mailbox.recv netisr_q)
+        done
+      | Chan chan ->
+        while true do
+          process_frame t (Psd_mach.Pktchan.recv chan)
+        done);
   t
 
 let ctx t = t.ctx

@@ -164,10 +164,10 @@ let input t b ~off ~len =
     then t.stats.ip_dropped_addr <- t.stats.ip_dropped_addr + 1
     else begin
       let payload_len = hdr.total_len - Header.size in
-      (* zero-copy: wrap the payload bytes in place. The frame buffer is
-         this receiver's private copy and is never written after
-         delivery, so the view stays valid for as long as TCP
-         reassembly or the socket buffer holds it. *)
+      (* zero-copy: wrap the payload bytes in place. The frame buffer
+         belongs to this receiver alone (Segment.transmit) and is never
+         written after delivery, so the view stays valid for as long as
+         TCP reassembly or the socket buffer holds it. *)
       let payload =
         Mbuf.of_bytes_view b ~off:(off + Header.size) ~len:payload_len
       in

@@ -78,7 +78,7 @@ val injected : stats -> int
 val apply : t -> Bytes.t -> (int * Bytes.t) list
 (** Decide the fate of one delivery. Returns the list of
     [(extra_delay_ns, frame)] deliveries the receiver should see — empty
-    when dropped, two entries when duplicated. The argument must be the
-    receiver's private copy: corruption mutates it in place (extra
-    duplicate copies are freshly allocated). A zero extra delay means
+    when dropped, two entries when duplicated. The argument must be a
+    buffer the receiver alone owns: corruption mutates it in place
+    (extra duplicate copies are freshly allocated). A zero extra delay means
     "deliver synchronously, exactly as a fault-free wire would". *)

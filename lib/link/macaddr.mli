@@ -22,6 +22,13 @@ val write : t -> Bytes.t -> int -> unit
 
 val read : Bytes.t -> int -> t
 
+val equal_at : t -> Bytes.t -> int -> bool
+(** [equal_at t b off] is [equal t (read b off)] without allocating.
+    @raise Invalid_argument if fewer than six bytes follow [off]. *)
+
+val is_broadcast_at : Bytes.t -> int -> bool
+(** [is_broadcast (read b off)] without allocating. *)
+
 val pp : Format.formatter -> t -> unit
 (** [aa:bb:cc:dd:ee:ff] notation. *)
 

@@ -74,6 +74,48 @@ let pad frame =
     padded
   end
 
+(* [r] wants [frame], which [sender] put on the wire. *)
+let wants sender r frame =
+  r != sender
+  && (r.promisc
+     || Macaddr.is_broadcast_at frame 0
+     || Macaddr.equal_at r.nic_mac frame 0)
+
+(* The last NIC in [nics] that wants [frame]; [sender] when none does
+   (the sender never receives its own frame). *)
+let rec last_wanted sender frame last = function
+  | [] -> last
+  | r :: rest ->
+    last_wanted sender frame (if wants sender r frame then r else last) rest
+
+let rec deliver_faulted t r = function
+  | [] -> ()
+  | (extra_ns, frm) :: rest ->
+    if extra_ns = 0 then r.rx frm
+    else Psd_sim.Engine.schedule t.eng extra_ns (fun () -> r.rx frm);
+    deliver_faulted t r rest
+
+(* [frame] is [r]'s own buffer from here on: a fault may corrupt it in
+   place, and the receiver may keep it. *)
+let deliver t r frame =
+  Psd_util.Copies.count Psd_util.Copies.Wire (Bytes.length frame);
+  (* a NIC-specific fault process overrides the segment's *)
+  match (match r.nic_fault with Some _ as f -> f | None -> t.fault) with
+  | None -> r.rx frame
+  | Some f -> deliver_faulted t r (Fault.apply f frame)
+
+(* Every receiver before [last] gets a private copy, taken while the
+   transmitted buffer is still untouched; [last] then gets the buffer
+   itself. *)
+let rec deliver_all t sender frame last = function
+  | [] -> ()
+  | r :: rest ->
+    if r == last then deliver t r frame
+    else begin
+      if wants sender r frame then deliver t r (Bytes.copy frame);
+      deliver_all t sender frame last rest
+    end
+
 let transmit nic frame =
   let t = nic.segment in
   let len = Bytes.length frame in
@@ -88,43 +130,10 @@ let transmit nic frame =
   t.bytes <- t.bytes + Bytes.length frame;
   t.busy_ns <- t.busy_ns + occupancy;
   let arrival = start + occupancy - t.ifg_ns in
-  let dst = Frame.dst frame in
   Psd_sim.Engine.schedule t.eng (arrival - now) (fun () ->
-      List.iter
-        (fun receiver ->
-          if receiver != nic then
-            let wanted =
-              receiver.promisc
-              || Macaddr.is_broadcast dst
-              || Macaddr.equal dst receiver.nic_mac
-            in
-            if wanted then begin
-              (* each receiver gets a private copy of the frame: it is
-                 the simulated medium handing the NIC its own bits, and
-                 it is what makes downstream zero-copy views safe — the
-                 buffer has exactly one owner and is never written after
-                 delivery (fault corruption happens below, before the
-                 receiver sees it) *)
-              Psd_util.Copies.count Psd_util.Copies.Wire
-                (Bytes.length frame);
-              let copy = Bytes.copy frame in
-              (* a NIC-specific fault process overrides the segment's *)
-              match
-                (match receiver.nic_fault with
-                | Some _ as f -> f
-                | None -> t.fault)
-              with
-              | None -> receiver.rx copy
-              | Some f ->
-                List.iter
-                  (fun (extra_ns, frm) ->
-                    if extra_ns = 0 then receiver.rx frm
-                    else
-                      Psd_sim.Engine.schedule t.eng extra_ns (fun () ->
-                          receiver.rx frm))
-                  (Fault.apply f copy)
-            end)
-        t.nics)
+      let nics = t.nics in
+      let last = last_wanted nic frame nic nics in
+      if last != nic then deliver_all t nic frame last nics)
 
 let frames_sent t = t.frames
 

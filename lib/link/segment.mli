@@ -43,7 +43,18 @@ val transmit : nic -> Bytes.t -> unit
 (** Queue a frame for transmission. Undersized frames are padded to the
     Ethernet minimum; frames above the MTU raise [Invalid_argument].
     Transmission is asynchronous: the call returns immediately and
-    delivery happens when serialisation completes. *)
+    delivery happens when serialisation completes.
+
+    Ownership: [transmit] takes the frame. The caller must not read or
+    write it afterwards. Of the NICs that want the frame, in attach
+    order, the last one receives the transmitted buffer itself (the
+    padded copy, for an undersized frame); every earlier one receives
+    a private copy, taken before any receiver sees the frame. Each
+    receiver therefore owns the buffer it is handed: a fault process
+    may corrupt it in place and the receiver may keep it, without
+    another receiver seeing the change. Fault duplicates are private
+    copies too. {!Psd_util.Copies.Wire} counts one per delivered
+    frame, the handed-over buffer included. *)
 
 val frame_time : t -> int -> int
 (** Wire occupancy (ns) of a frame of the given length on this segment,

@@ -26,6 +26,49 @@ type t = {
   mutable offload : (Nicpipe.t * (Bytes.t -> unit)) option;
 }
 
+(* Demultiplex through the filters, first match wins, then charge the
+   netisr plus every instruction run and hand the frame over. *)
+let rec demux t frame insns = function
+  | [] ->
+    charge_filter t insns;
+    t.rx_unmatched <- t.rx_unmatched + 1
+  | f :: rest ->
+    let accept, steps = f.matcher frame in
+    let insns = insns + steps in
+    if accept > 0 then begin
+      charge_filter t insns;
+      f.sink frame
+    end
+    else demux t frame insns rest
+
+and charge_filter t insns =
+  let plat = Host.plat t.host in
+  Ctx.charge_at (Host.kernel_ctx t.host) Psd_sim.Cpu.Interrupt
+    Phase.Netisr_filter
+    (plat.Platform.netisr + plat.Platform.pf_base
+    + (insns * plat.Platform.pf_per_insn))
+
+(* Body of the per-frame interrupt fiber. *)
+let interrupt t frame =
+  let plat = Host.plat t.host in
+  let len = Bytes.length frame in
+  t.rx_frames <- t.rx_frames + 1;
+  (* interrupt + driver read *)
+  let intr_cost =
+    match t.mode with
+    | Rx_full_copy ->
+      (* the driver copies the whole frame out of device memory;
+         deferred mode only peeks at headers and leaves the body
+         for the input-packet-filter path to move once *)
+      Psd_util.Copies.count Psd_util.Copies.Rx_device len;
+      plat.Platform.intr + plat.Platform.drv_rx_fixed
+      + (len * plat.Platform.device_read_per_byte)
+    | Rx_deferred -> plat.Platform.intr + plat.Platform.drv_rx_peek
+  in
+  Ctx.charge_at (Host.kernel_ctx t.host) Psd_sim.Cpu.Interrupt
+    Phase.Device_intr intr_cost;
+  demux t frame 0 t.filters
+
 let create host segment ~mac =
   let nic = Psd_link.Segment.attach segment ~mac in
   let t =
@@ -52,41 +95,8 @@ let create host segment ~mac =
         Nicpipe.admit_deliver pipe ~dir:Nicpipe.Rx ~len:(Bytes.length frame)
           (fun () -> sink frame)
       | None ->
-      Psd_sim.Engine.spawn (Host.eng host) ~name:"netintr" (fun () ->
-          let plat = Host.plat host in
-          let kctx = Host.kernel_ctx host in
-          let len = Bytes.length frame in
-          t.rx_frames <- t.rx_frames + 1;
-          (* interrupt + driver read *)
-          let intr_cost =
-            match t.mode with
-            | Rx_full_copy ->
-              (* the driver copies the whole frame out of device memory;
-                 deferred mode only peeks at headers and leaves the body
-                 for the input-packet-filter path to move once *)
-              Psd_util.Copies.count Psd_util.Copies.Rx_device len;
-              plat.Platform.intr + plat.Platform.drv_rx_fixed
-              + (len * plat.Platform.device_read_per_byte)
-            | Rx_deferred -> plat.Platform.intr + plat.Platform.drv_rx_peek
-          in
-          Ctx.charge_at kctx Psd_sim.Cpu.Interrupt Phase.Device_intr
-            intr_cost;
-          (* demultiplex through the filters, first match wins *)
-          let insns = ref 0 in
-          let rec demux = function
-            | [] -> None
-            | f :: rest ->
-              let accept, steps = f.matcher frame in
-              insns := !insns + steps;
-              if accept > 0 then Some f else demux rest
-          in
-          let matched = demux t.filters in
-          Ctx.charge_at kctx Psd_sim.Cpu.Interrupt Phase.Netisr_filter
-            (plat.Platform.netisr + plat.Platform.pf_base
-            + (!insns * plat.Platform.pf_per_insn));
-          match matched with
-          | Some f -> f.sink frame
-          | None -> t.rx_unmatched <- t.rx_unmatched + 1));
+        Psd_sim.Engine.spawn (Host.eng host) ~name:"netintr" (fun () ->
+            interrupt t frame));
   t
 
 let mac t = Psd_link.Segment.mac t.nic

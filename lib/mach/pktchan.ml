@@ -11,8 +11,9 @@ type t = {
      of a body-copy site. Virtual-time charges are identical either
      way — only the copy bookkeeping moves. *)
   newapi : bool;
-  ring : Bytes.t Psd_util.Ring.t option; (* None for Ipc (unbounded) *)
-  q : Bytes.t Queue.t;
+  (* bounded for Shm; grown on demand for Ipc (an unbounded message
+     queue). A ring, not [Queue]: see Psd_sim.Mailbox. *)
+  ring : Bytes.t Psd_util.Ring.t;
   cond : Psd_sim.Cond.t;
   deliver_fixed : int;
   deliver_per_byte : int;
@@ -28,10 +29,8 @@ let create ?(newapi = false) host ~kind ~deliver_fixed ~deliver_per_byte =
     kind;
     newapi;
     ring =
-      (match kind with
-      | Ipc -> None
-      | Shm cap -> Some (Psd_util.Ring.create ~capacity:cap));
-    q = Queue.create ();
+      Psd_util.Ring.create
+        ~capacity:(match kind with Ipc -> 16 | Shm cap -> cap);
     cond = Psd_sim.Cond.create (Host.eng host);
     deliver_fixed;
     deliver_per_byte;
@@ -61,15 +60,14 @@ let deliver t pkt =
       Psd_util.Copies.count Psd_util.Copies.Rx_loan ~n:1 len
     end
     else Psd_util.Copies.count Psd_util.Copies.Rx_ipc ~n:2 (2 * len);
-    Queue.push pkt t.q;
+    Psd_util.Ring.push_grow t.ring pkt;
     t.delivered <- t.delivered + 1;
     t.wakeups <- t.wakeups + 1;
     Psd_sim.Cond.signal t.cond
   | Shm _ ->
     Ctx.charge_at (kctx t) Psd_sim.Cpu.Kernel Phase.Kernel_copyout
       (t.deliver_fixed + (len * t.deliver_per_byte));
-    let ring = Option.get t.ring in
-    if Psd_util.Ring.push ring pkt then begin
+    if Psd_util.Ring.push t.ring pkt then begin
       (* NEWAPI: the ring pages are application-loaned receive buffers,
          so this deposit is the placement into app memory *)
       if t.newapi then Psd_util.Copies.count Psd_util.Copies.Rx_loan len
@@ -85,10 +83,7 @@ let deliver t pkt =
     end
     else t.dropped <- t.dropped + 1
 
-let pop t =
-  match t.kind with
-  | Ipc -> Queue.take_opt t.q
-  | Shm _ -> Psd_util.Ring.pop (Option.get t.ring)
+let pop t = Psd_util.Ring.pop t.ring
 
 let rec recv t =
   match pop t with
@@ -101,31 +96,7 @@ let rec recv t =
 
 let try_recv t = pop t
 
-(* Drain everything already queued, oldest first, without blocking —
-   the paper's SHM batching observable: a receiver woken once consumes
-   the whole packet train that accumulated while it ran. *)
-let drain t =
-  let rec go acc =
-    match pop t with Some pkt -> go (pkt :: acc) | None -> List.rev acc
-  in
-  go []
-
-(* Blocking batch receive. Identical event sequence to per-packet
-   [recv]: popping a non-empty queue never blocks or charges, and the
-   waiting++/wait/waiting-- discipline on empty is [recv]'s own — so
-   wakeup accounting (and therefore virtual time) is unchanged, only the
-   number of OCaml-level loop iterations per wakeup drops. *)
-let recv_batch t =
-  match drain t with
-  | [] ->
-    let pkt = recv t in
-    pkt :: drain t
-  | pkts -> pkts
-
-let queued t =
-  match t.kind with
-  | Ipc -> Queue.length t.q
-  | Shm _ -> Psd_util.Ring.length (Option.get t.ring)
+let queued t = Psd_util.Ring.length t.ring
 
 let dropped t = t.dropped
 

@@ -38,19 +38,13 @@ val deliver : t -> Bytes.t -> unit
     message cost; full rings drop the packet. *)
 
 val recv : t -> Bytes.t
-(** Receiver side; blocks the calling fiber until a packet arrives. *)
+(** Receiver side: the oldest queued packet. Blocks the calling fiber
+    only when the channel is empty, so a receiver woken once consumes
+    the whole packet train queued meanwhile without another wakeup —
+    the paper's SHM batching observable. *)
 
 val try_recv : t -> Bytes.t option
-
-val drain : t -> Bytes.t list
-(** Every packet already queued, oldest first, without blocking (empty
-    list when none). *)
-
-val recv_batch : t -> Bytes.t list
-(** Blocking batch receive: the whole queued packet train in one call
-    (blocking like {!recv} only when the channel is empty). Event-order
-    identical to calling {!recv} per packet; one wakeup now amortises
-    over the train — the paper's SHM batching observable. *)
+(** The oldest queued packet, or [None]; never blocks. *)
 
 val queued : t -> int
 

@@ -210,25 +210,27 @@ let split t n =
   { segs = front_segs; total = n }
 
 (* Non-destructive zero-copy window: fresh segment records over the same
-   buffers (both sides marked shared). *)
+   buffers (both sides marked shared). [pos] is the chain offset of the
+   head segment; the walk stops at the window's end. *)
+let rec view_segs lo_w hi_w pos = function
+  | [] -> []
+  | s :: rest ->
+    if pos >= hi_w then []
+    else begin
+      let next = pos + s.len in
+      let lo = max pos lo_w and hi = min next hi_w in
+      if lo < hi then begin
+        s.shared <- true;
+        { buf = s.buf; off = s.off + lo - pos; len = hi - lo; shared = true }
+        :: view_segs lo_w hi_w next rest
+      end
+      else view_segs lo_w hi_w next rest
+    end
+
 let sub_view t ~off ~len =
   if off < 0 || len < 0 || off + len > t.total then
     invalid_arg "Mbuf.sub_view";
-  let acc = ref [] in
-  let pos = ref 0 in
-  List.iter
-    (fun s ->
-      let lo = max !pos off and hi = min (!pos + s.len) (off + len) in
-      if lo < hi then begin
-        s.shared <- true;
-        acc :=
-          { buf = s.buf; off = s.off + lo - !pos; len = hi - lo;
-            shared = true }
-          :: !acc
-      end;
-      pos := !pos + s.len)
-    t.segs;
-  { segs = List.rev !acc; total = len }
+  { segs = view_segs off (off + len) 0 t.segs; total = len }
 
 let contiguous t =
   let rec go = function
@@ -241,29 +243,31 @@ let contiguous t =
   in
   go t.segs
 
-let checksum_add t acc =
-  (* mutable fold: this runs once per segment on the rx fast path, and
-     a (acc, parity) tuple per chain link is measurable churn *)
-  let sum = ref acc and odd = ref false in
-  List.iter
-    (fun s ->
-      if s.len > 0 then begin
-        sum :=
-          (if !odd then
-             Psd_util.Checksum.add_bytes_odd !sum s.buf ~off:s.off ~len:s.len
-           else Psd_util.Checksum.add_bytes !sum s.buf ~off:s.off ~len:s.len);
-        odd := !odd <> (s.len land 1 = 1)
-      end)
-    t.segs;
-  !sum
+(* [odd]: the bytes summed so far have odd length, so the next range
+   starts in the low half of a 16-bit word. This runs once per segment
+   on the rx fast path; the recursion carries the sum and parity in
+   registers. *)
+let rec checksum_segs sum odd = function
+  | [] -> sum
+  | s :: rest ->
+    if s.len = 0 then checksum_segs sum odd rest
+    else
+      checksum_segs
+        (if odd then
+           Psd_util.Checksum.add_bytes_odd sum s.buf ~off:s.off ~len:s.len
+         else Psd_util.Checksum.add_bytes sum s.buf ~off:s.off ~len:s.len)
+        (odd <> (s.len land 1 = 1))
+        rest
 
-let blit_to_bytes t b off =
-  let pos = ref off in
-  List.iter
-    (fun s ->
-      Bytes.blit s.buf s.off b !pos s.len;
-      pos := !pos + s.len)
-    t.segs
+let checksum_add t acc = checksum_segs acc false t.segs
+
+let rec blit_segs b pos = function
+  | [] -> ()
+  | s :: rest ->
+    Bytes.blit s.buf s.off b pos s.len;
+    blit_segs b (pos + s.len) rest
+
+let blit_to_bytes t b off = blit_segs b off t.segs
 
 let to_bytes t =
   let b = Bytes.create t.total in

@@ -36,13 +36,16 @@ let no_k : (unit, unit) continuation =
 
 let nop = fun () -> ()
 
-(* A fiber's control block, allocated once at spawn together with its
+(* A fiber's control block, allocated at spawn together with its
    [wake] closure; no later sleep, suspension or wakeup allocates
-   either. [gen] counts wakeups from a suspension or a wait queue: a
-   resume token records the generation it was issued at, so using it a
-   second time — or after a later suspension — is detected. [next]
+   either, and a finished fiber's block (closure included) goes on the
+   engine's free list for a later [spawn] to reuse. [gen] counts
+   wakeups from a suspension or a wait queue: a resume token records
+   the generation it was issued at, so using it a second time — or
+   after a later suspension — is detected. [gen] is never reset, not
+   even on reuse, so a token outlives its fiber harmlessly. [next]
    links the fiber into at most one wait queue while it is parked
-   there. *)
+   there, or into the free list once it has finished. *)
 type fiber = {
   mutable k : (unit, unit) continuation; (* valid while parked *)
   mutable body : unit -> unit; (* entry point until first dispatch *)
@@ -86,7 +89,26 @@ type t = {
   mutable in_fiber : bool;
   handler : (unit, unit) handler; (* shared by every fiber *)
   on_park : ((unit, unit) continuation -> unit) option;
+  mutable free : fiber; (* finished blocks, linked through [next] *)
+  mutable nfree : int;
 }
+
+(* Bound on the free list: enough to absorb the transient per-frame
+   fibers (an interrupt fiber per received frame), small enough that a
+   burst of finished fibers pins almost nothing. *)
+let free_max = 256
+
+(* Called from the shared handler when the running fiber returns or
+   raises; [t.cur] is that fiber. *)
+let finish t =
+  t.alive <- t.alive - 1;
+  let f = t.cur in
+  f.k <- no_k;
+  if t.nfree < free_max then begin
+    f.next <- t.free;
+    t.free <- f;
+    t.nfree <- t.nfree + 1
+  end
 
 type cancel = unit -> unit
 
@@ -96,7 +118,7 @@ let create ?(seed = 42) () =
   let rec t =
     {
       now = 0;
-      events = Psd_util.Heap.create ();
+      events = Psd_util.Heap.create ~dummy:nop ();
       timers = Wheel.create ~dummy:dummy_timer ();
       next_seq = 0;
       rng = Psd_util.Rng.create ~seed;
@@ -107,10 +129,10 @@ let create ?(seed = 42) () =
       in_fiber = false;
       handler =
         {
-          retc = (fun () -> t.alive <- t.alive - 1);
+          retc = (fun () -> finish t);
           exnc =
             (fun e ->
-              t.alive <- t.alive - 1;
+              finish t;
               (* prepend: appending would make accumulating n failures
                  O(n²); readers reverse once instead *)
               t.failures <- e :: t.failures);
@@ -121,6 +143,8 @@ let create ?(seed = 42) () =
               | _ -> None);
         };
       on_park = Some (fun k -> t.cur.k <- k);
+      free = no_fiber;
+      nfree = 0;
     }
   in
   t
@@ -217,7 +241,7 @@ let wake t f =
   end
   else run_fiber t f
 
-let spawn t ?name:_ body =
+let fresh_fiber t body =
   let rec f =
     {
       k = no_k;
@@ -228,6 +252,20 @@ let spawn t ?name:_ body =
       next = no_fiber;
       wake = (fun () -> wake t f);
     }
+  in
+  f
+
+let spawn t ?name:_ body =
+  let f =
+    if t.nfree = 0 then fresh_fiber t body
+    else begin
+      let f = t.free in
+      t.free <- f.next;
+      t.nfree <- t.nfree - 1;
+      f.next <- no_fiber;
+      f.body <- body;
+      f
+    end
   in
   t.alive <- t.alive + 1;
   schedule t 0 f.wake

@@ -30,7 +30,15 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
     virtual time. May be called from inside or outside a fiber. An
     exception escaping [f] is recorded (see {!failures}) and terminates
     only that fiber. [name] labels the fiber at the call site; the
-    engine does not record it. *)
+    engine does not record it.
+
+    A finished fiber's control block (and its wake closure) goes on a
+    bounded free list, and [spawn] takes a block from that list before
+    allocating one. Reuse is invisible: {!alive} and {!failures} count
+    fibers, not blocks, and a block's wakeup generation is never
+    reset, so a {!suspend} resume token kept past its fiber's end
+    still raises ["Engine: fiber resumed twice"] and never wakes the
+    fiber that reuses the block. *)
 
 val sleep : t -> int -> unit
 (** Block the calling fiber for the given number of nanoseconds.
@@ -67,7 +75,8 @@ val suspend : t -> ((unit -> unit) -> unit) -> unit
     blocking abstractions outside this library are built.
     @raise Invalid_argument ["Engine: fiber resumed twice"] from
     [resume] when it is called a second time, or after the fiber was
-    resumed and suspended again (a stale token). *)
+    resumed and suspended again, or after it finished (a stale token,
+    even when a later fiber reuses its control block). *)
 
 val schedule : t -> int -> (unit -> unit) -> unit
 (** [schedule t dt f] runs callback [f] (not a fiber; it must not block)

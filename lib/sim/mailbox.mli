@@ -19,6 +19,3 @@ val recv_timeout : 'a t -> int -> 'a option
 val try_recv : 'a t -> 'a option
 
 val length : 'a t -> int
-
-val drain : 'a t -> 'a list
-(** Remove and return all queued messages without blocking. *)

@@ -36,15 +36,20 @@ let flags_byte f =
   lor (if f.ack then 0x10 else 0)
   lor if f.urg then 0x20 else 0
 
-let flags_of_byte b =
-  {
-    fin = b land 0x01 <> 0;
-    syn = b land 0x02 <> 0;
-    rst = b land 0x04 <> 0;
-    psh = b land 0x08 <> 0;
-    ack = b land 0x10 <> 0;
-    urg = b land 0x20 <> 0;
-  }
+(* Every combination of the six flag bits, built once: decode and
+   output share these records instead of allocating one per segment. *)
+let flags_table =
+  Array.init 64 (fun b ->
+      {
+        fin = b land 0x01 <> 0;
+        syn = b land 0x02 <> 0;
+        rst = b land 0x04 <> 0;
+        psh = b land 0x08 <> 0;
+        ack = b land 0x10 <> 0;
+        urg = b land 0x20 <> 0;
+      })
+
+let flags_of_byte b = Array.unsafe_get flags_table (b land 0x3f)
 
 let encode t ~src ~dst ~payload =
   let hlen = header_size t in

@@ -11,6 +11,11 @@ type flags = {
 
 val no_flags : flags
 
+val flags_of_byte : int -> flags
+(** The flags of a header's flag byte (the two high bits are ignored).
+    Records are shared from a table of all 64 combinations, so this
+    never allocates. *)
+
 type t = {
   src_port : int;
   dst_port : int;

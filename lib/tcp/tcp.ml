@@ -641,12 +641,10 @@ and output t pcb ~force =
             else Mbuf.empty ()
           in
           let flags =
-            {
-              Segment.no_flags with
-              Segment.ack = true;
-              psh = (len > 0 && all_sent_after);
-              fin = fin_to_send;
-            }
+            Segment.flags_of_byte
+              (0x10
+              lor (if len > 0 && all_sent_after then 0x08 else 0)
+              lor if fin_to_send then 0x01 else 0)
           in
           let window = rcv_window pcb in
           pcb.rcv_adv <- Seq.max pcb.rcv_adv (Seq.add pcb.rcv_nxt window);

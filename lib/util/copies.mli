@@ -11,7 +11,12 @@ type site =
   | Tx_retain  (** send-queue range copied for (re)transmission *)
   | Tx_frame  (** mbuf chain flattened into the outgoing frame *)
   | Tx_rpc  (** send payload copied through RPC messages to the server *)
-  | Wire  (** per-receiver frame copy made by the shared segment *)
+  | Wire
+      (** one per frame the shared segment delivers to a NIC. It counts
+          deliveries: the last receiver of a frame gets the transmitted
+          buffer itself, and only the earlier receivers of a broadcast
+          or promiscuous frame get physical copies (see
+          [Psd_link.Segment.transmit]). *)
   | Rx_device  (** driver copy out of device memory (full-copy rx mode) *)
   | Rx_ipc  (** per-packet message: copy into and out of the IPC msg *)
   | Rx_ring  (** packet copied into the shared-memory ring *)

@@ -12,7 +12,10 @@
      sift loops compare without dereferencing boxed entry records (and
      without write barriers when they move); values are only moved,
      never examined.
-   - Both sifts bubble a hole instead of swapping. *)
+   - Both sifts bubble a hole instead of swapping.
+   - Slots at or past [n] hold [dummy], never a popped value: a fired
+     event closure (and whatever frame it captured) must not outlive
+     its dispatch just because the array still points at it. *)
 
 type 'a t = {
   mutable keys : int array;
@@ -20,15 +23,17 @@ type 'a t = {
   mutable vals : 'a array;
   mutable n : int;
   mutable next_seq : int;
+  dummy : 'a;
 }
 
-let create () = { keys = [||]; seqs = [||]; vals = [||]; n = 0; next_seq = 0 }
+let create ~dummy () =
+  { keys = [||]; seqs = [||]; vals = [||]; n = 0; next_seq = 0; dummy }
 
-let grow h filler =
+let grow h =
   let cap = max 16 (2 * Array.length h.keys) in
   let keys = Array.make cap 0
   and seqs = Array.make cap 0
-  and vals = Array.make cap filler in
+  and vals = Array.make cap h.dummy in
   Array.blit h.keys 0 keys 0 h.n;
   Array.blit h.seqs 0 seqs 0 h.n;
   Array.blit h.vals 0 vals 0 h.n;
@@ -43,7 +48,7 @@ let grow h filler =
    (key, seq) order is a total order over all events). *)
 let push_seq h ~key ~seq value =
   if seq >= h.next_seq then h.next_seq <- seq + 1;
-  if h.n = Array.length h.keys then grow h value;
+  if h.n = Array.length h.keys then grow h;
   let keys = h.keys and seqs = h.seqs and vals = h.vals in
   (* hole bubble-up; the fresh element holds the largest seq, so a key
      tie with a parent is never "less" and the key compare suffices *)
@@ -103,6 +108,7 @@ let pop_min h =
     seqs.(!i) <- es;
     vals.(!i) <- ev
   end;
+  vals.(n) <- h.dummy;
   top
 
 let pop h =

@@ -6,7 +6,9 @@
 
 type 'a t
 
-val create : unit -> 'a t
+val create : dummy:'a -> unit -> 'a t
+(** [dummy] fills every slot that holds no element, so a popped value
+    is not kept reachable by the heap. *)
 
 val push : 'a t -> key:int -> 'a -> unit
 

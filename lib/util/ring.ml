@@ -1,5 +1,5 @@
 type 'a t = {
-  buf : 'a option array;
+  mutable buf : 'a option array;
   mutable head : int; (* next pop position *)
   mutable len : int;
 }
@@ -24,6 +24,21 @@ let push t x =
     t.len <- t.len + 1;
     true
   end
+
+(* Unbounded use: double the array when full, oldest element first.
+   Popped slots are blanked either way, so unlike a linked queue a
+   drained ring keeps nothing reachable. *)
+let push_grow t x =
+  if is_full t then begin
+    let cap = Array.length t.buf in
+    let buf = Array.make (2 * cap) None in
+    for i = 0 to t.len - 1 do
+      buf.(i) <- t.buf.((t.head + i) mod cap)
+    done;
+    t.buf <- buf;
+    t.head <- 0
+  end;
+  ignore (push t x)
 
 let pop t =
   if t.len = 0 then None

@@ -425,6 +425,30 @@ let prop_validated_programs_run_safely =
         | Error `Invalid -> false
         | exception _ -> false))
 
+(* --- allocation ------------------------------------------------------ *)
+
+let test_flat_run_allocation () =
+  (* [flat_run] runs once per frame per session filter in the kernel's
+     demultiplexer. Its only allocation may be the (accept, steps) pair:
+     3 words on an accept, none on a constant-count reject. *)
+  let flat = Filter.flat_of_spec tcp_spec in
+  let hit = make_frame () and miss = make_frame ~dst_port:81 () in
+  Alcotest.(check bool) "hit accepts" true (fst (Filter.flat_run flat hit) > 0);
+  Alcotest.(check bool) "miss rejects" true
+    (fst (Filter.flat_run flat miss) = 0);
+  let calls = 100_000 in
+  List.iter
+    (fun (name, frame) ->
+      let w0 = Gc.minor_words () in
+      for _ = 1 to calls do
+        ignore (Sys.opaque_identity (Filter.flat_run flat frame))
+      done;
+      let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+      if per_call > 3. then
+        Alcotest.failf "flat_run (%s): %.2f minor words per call, bound 3" name
+          per_call)
+    [ ("accept", hit); ("reject", miss) ]
+
 let () =
   Alcotest.run "psd_bpf"
     [
@@ -471,5 +495,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_compile_matches_interpreter;
           QCheck_alcotest.to_alcotest prop_compile_view_matches_interpreter;
           QCheck_alcotest.to_alcotest prop_flat_matches_interpreter;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "flat_run guard" `Quick test_flat_run_allocation;
         ] );
     ]

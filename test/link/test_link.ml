@@ -269,6 +269,120 @@ let test_fault_on_segment () =
   Engine.run eng;
   Alcotest.(check int) "nic override wins" 1 !got
 
+(* --- frame ownership ---------------------------------------------------- *)
+
+let test_macaddr_equal_at () =
+  let m = Macaddr.of_host_id 0x12345 in
+  let b = Bytes.make 12 '\x00' in
+  Macaddr.write m b 3;
+  Alcotest.(check bool) "equal in place" true (Macaddr.equal_at m b 3);
+  Alcotest.(check bool) "other offset" false (Macaddr.equal_at m b 2);
+  Alcotest.(check bool) "not broadcast" false (Macaddr.is_broadcast_at b 3);
+  Macaddr.write Macaddr.broadcast b 6;
+  Alcotest.(check bool) "broadcast" true (Macaddr.is_broadcast_at b 6)
+
+let test_unicast_handoff () =
+  let eng, _seg, a, b = two_nics () in
+  let got = ref [] in
+  Segment.set_rx b (fun frame -> got := frame :: !got);
+  let f = mk_frame ~dst:(Segment.mac b) ~src:(Segment.mac a) ~len:100 in
+  Segment.transmit a f;
+  Engine.run eng;
+  match !got with
+  | [ frame ] -> Alcotest.(check bool) "the transmitted buffer" true (frame == f)
+  | _ -> Alcotest.fail "expected exactly one delivery"
+
+(* NICs [b; c; d] after the sender [a]; each records what it got. *)
+let four_nics () =
+  let eng, seg, a, b = two_nics () in
+  let c = Segment.attach seg ~mac:(Macaddr.of_host_id 3) in
+  let d = Segment.attach seg ~mac:(Macaddr.of_host_id 4) in
+  let got = Array.make 3 [] in
+  List.iteri
+    (fun i nic -> Segment.set_rx nic (fun fr -> got.(i) <- fr :: got.(i)))
+    [ b; c; d ];
+  (eng, seg, a, [ b; c; d ], got)
+
+let one = function
+  | [ x ] -> x
+  | l -> Alcotest.failf "expected one delivery, got %d" (List.length l)
+
+let test_broadcast_private_copies () =
+  let eng, _seg, a, _, got = four_nics () in
+  let f = mk_frame ~dst:Macaddr.broadcast ~src:(Segment.mac a) ~len:100 in
+  let sent = Bytes.copy f in
+  Segment.transmit a f;
+  Engine.run eng;
+  let fb = one got.(0) and fc = one got.(1) and fd = one got.(2) in
+  Alcotest.(check bool) "first gets a copy" true (fb != f);
+  Alcotest.(check bool) "second gets a copy" true (fc != f && fc != fb);
+  Alcotest.(check bool) "last gets the buffer" true (fd == f);
+  List.iter (Alcotest.(check bytes) "same bytes" sent) [ fb; fc; fd ]
+
+let test_promiscuous_private_copies () =
+  (* unicast a -> c, with b and d promiscuous: wanted by b, c, d *)
+  let eng, _seg, a, nics, got = four_nics () in
+  (match nics with
+  | [ b; c; d ] ->
+    Segment.set_promiscuous b true;
+    Segment.set_promiscuous d true;
+    let f = mk_frame ~dst:(Segment.mac c) ~src:(Segment.mac a) ~len:100 in
+    Segment.transmit a f;
+    Engine.run eng;
+    let fb = one got.(0) and fc = one got.(1) and fd = one got.(2) in
+    Alcotest.(check bool) "copies before the last" true (fb != f && fc != f);
+    Alcotest.(check bool) "promiscuous last gets the buffer" true (fd == f);
+    (* the last wanting NIC gets the buffer even when a later one does
+       not want the frame *)
+    Segment.set_promiscuous d false;
+    let f = mk_frame ~dst:(Segment.mac c) ~src:(Segment.mac a) ~len:100 in
+    Segment.transmit a f;
+    Engine.run eng;
+    Alcotest.(check bool) "b copies" true (List.hd got.(0) != f);
+    Alcotest.(check bool) "c is now last" true (List.hd got.(1) == f);
+    Alcotest.(check int) "d not promiscuous" 1 (List.length got.(2))
+  | _ -> assert false)
+
+let corrupt_all () =
+  Some
+    (Fault.create ~rng:(Psd_util.Rng.create ~seed:3)
+       { Fault.none with Fault.corrupt = 1.0 })
+
+let test_fault_isolated_per_receiver () =
+  (* a corrupting per-NIC fault on either the copy holder or the buffer
+     holder changes only that receiver's bytes *)
+  List.iter
+    (fun faulty ->
+      let eng, _seg, a, nics, got = four_nics () in
+      Segment.set_nic_fault (List.nth nics faulty) (corrupt_all ());
+      let f = ip_frame ~len:200 () in
+      Frame.set_header f ~off:0 ~dst:Macaddr.broadcast ~src:(Segment.mac a)
+        ~ethertype:Frame.ethertype_ip;
+      let sent = Bytes.copy f in
+      Segment.transmit a f;
+      Engine.run eng;
+      Array.iteri
+        (fun i l ->
+          let fr = one l in
+          if i = faulty then
+            Alcotest.(check bool) "faulty receiver corrupted" false
+              (Bytes.equal fr sent)
+          else Alcotest.(check bytes) "others see what was sent" sent fr)
+        got)
+    [ 0; 2 ]
+
+let test_wire_counts_deliveries () =
+  let eng, _seg, a, nics, _ = four_nics () in
+  Psd_util.Copies.reset ();
+  Segment.transmit a (mk_frame ~dst:Macaddr.broadcast ~src:(Segment.mac a) ~len:100);
+  Segment.transmit a
+    (mk_frame ~dst:(Segment.mac (List.hd nics)) ~src:(Segment.mac a) ~len:80);
+  Engine.run eng;
+  Alcotest.(check int) "one per delivered frame" 4
+    (Psd_util.Copies.copies Psd_util.Copies.Wire);
+  Alcotest.(check int) "bytes per delivered frame" ((3 * 100) + 80)
+    (Psd_util.Copies.bytes Psd_util.Copies.Wire)
+
 let () =
   Alcotest.run "psd_link"
     [
@@ -305,5 +419,19 @@ let () =
           Alcotest.test_case "same seed, same schedule" `Quick
             test_fault_same_seed_same_schedule;
           Alcotest.test_case "segment wiring" `Quick test_fault_on_segment;
+        ] );
+      ( "ownership",
+        [
+          Alcotest.test_case "mac compare in place" `Quick
+            test_macaddr_equal_at;
+          Alcotest.test_case "unicast handoff" `Quick test_unicast_handoff;
+          Alcotest.test_case "broadcast copies" `Quick
+            test_broadcast_private_copies;
+          Alcotest.test_case "promiscuous copies" `Quick
+            test_promiscuous_private_copies;
+          Alcotest.test_case "fault isolated per receiver" `Quick
+            test_fault_isolated_per_receiver;
+          Alcotest.test_case "wire counts deliveries" `Quick
+            test_wire_counts_deliveries;
         ] );
     ]

@@ -162,27 +162,35 @@ let test_pktchan_shm_tail_drop_preserves_queue () =
   Alcotest.(check int) "dropped the overflow" 3 (Pktchan.dropped ch);
   Alcotest.(check int) "no wakeups while receiver not blocked" 0
     (Pktchan.wakeups ch);
-  let kept = List.map Bytes.to_string (Pktchan.drain ch) in
+  let first = Pktchan.try_recv ch in
+  let second = Pktchan.try_recv ch in
+  let kept = List.filter_map (Option.map Bytes.to_string) [ first; second ] in
   Alcotest.(check (list string)) "oldest survive, in order" [ "a"; "b" ] kept;
-  Alcotest.(check int) "ring empty after drain" 0 (Pktchan.queued ch)
+  Alcotest.(check bool) "nothing behind them" true (Pktchan.try_recv ch = None);
+  Alcotest.(check int) "ring empty" 0 (Pktchan.queued ch)
 
-let test_pktchan_recv_batch_takes_train () =
+let test_pktchan_recv_takes_train () =
   let eng, host = make_host () in
   let ch =
     Pktchan.create host ~kind:(Pktchan.Shm 8) ~deliver_fixed:0
       ~deliver_per_byte:0
   in
-  let batch = ref [] in
+  let got = ref [] in
   Psd_sim.Engine.spawn eng (fun () ->
       List.iter
         (fun s -> Pktchan.deliver ch (Bytes.of_string s))
         [ "x"; "y"; "z" ]);
   Psd_sim.Engine.spawn eng (fun () ->
       Psd_sim.Engine.sleep eng (Psd_sim.Time.us 10);
-      batch := List.map Bytes.to_string (Pktchan.recv_batch ch));
+      let at = Psd_sim.Engine.now eng in
+      for _ = 1 to 3 do
+        got := Bytes.to_string (Pktchan.recv ch) :: !got
+      done;
+      Alcotest.(check int) "train taken without blocking" at
+        (Psd_sim.Engine.now eng));
   Psd_sim.Engine.run eng;
-  Alcotest.(check (list string)) "whole train in one call" [ "x"; "y"; "z" ]
-    !batch;
+  Alcotest.(check (list string)) "whole train, oldest first" [ "x"; "y"; "z" ]
+    (List.rev !got);
   Alcotest.(check int) "queued train needs no wakeup" 0 (Pktchan.wakeups ch)
 
 (* --- Netdev ------------------------------------------------------------- *)
@@ -294,8 +302,8 @@ let () =
             test_pktchan_shm_drops_when_full;
           Alcotest.test_case "shm tail-drop" `Quick
             test_pktchan_shm_tail_drop_preserves_queue;
-          Alcotest.test_case "recv_batch train" `Quick
-            test_pktchan_recv_batch_takes_train;
+          Alcotest.test_case "recv train" `Quick
+            test_pktchan_recv_takes_train;
         ] );
       ( "netdev",
         [

@@ -225,12 +225,16 @@ let test_mailbox_recv_timeout () =
   Engine.run eng;
   Alcotest.(check (option int)) "timeout none" None !r
 
-let test_mailbox_drain () =
+let test_mailbox_try_recv_fifo () =
   let eng = Engine.create () in
   let mb = Mailbox.create eng in
   Mailbox.send mb "x";
   Mailbox.send mb "y";
-  Alcotest.(check (list string)) "drain" [ "x"; "y" ] (Mailbox.drain mb);
+  let first = Mailbox.try_recv mb in
+  let second = Mailbox.try_recv mb in
+  Alcotest.(check (list (option string))) "oldest first"
+    [ Some "x"; Some "y" ] [ first; second ];
+  Alcotest.(check (option string)) "then none" None (Mailbox.try_recv mb);
   Alcotest.(check int) "empty" 0 (Mailbox.length mb)
 
 (* --- determinism ---------------------------------------------------- *)
@@ -328,7 +332,7 @@ let prop_wheel_heap_differential =
         (make ~print:print_op op_gen))
     (fun ops ->
       let w = Wheel.create ~dummy:(-1) () in
-      let h = Psd_util.Heap.create () in
+      let h = Psd_util.Heap.create ~dummy:(-1) () in
       let seq = ref 0 in
       let floor = ref 0 in
       (* live: (seq, node) for entries possibly still armed; freed:
@@ -521,6 +525,78 @@ let test_stale_resume_raises () =
     (List.rev !woke_at);
   Alcotest.(check int) "no fibers left" 0 (Engine.alive eng)
 
+(* --- fiber block reuse ----------------------------------------------- *)
+
+let test_token_outlives_fiber () =
+  (* A's block goes on the free list when A ends and B, spawned after,
+     reuses it. A's spent token must still raise and must not wake B. *)
+  let eng = Engine.create () in
+  let a_token = ref ignore and b_token = ref ignore in
+  let b_woke = ref false in
+  Engine.spawn eng (fun () ->
+      Engine.suspend eng (fun resume ->
+          a_token := resume;
+          Engine.schedule eng 10 resume));
+  Engine.run eng;
+  Alcotest.(check int) "A finished" 0 (Engine.alive eng);
+  Engine.spawn eng (fun () ->
+      Engine.suspend eng (fun resume -> b_token := resume);
+      b_woke := true);
+  Engine.run eng;
+  Alcotest.(check int) "B parked" 1 (Engine.alive eng);
+  Alcotest.check_raises "A's token after reuse" resumed_twice !a_token;
+  Engine.run eng;
+  Alcotest.(check bool) "B still parked" false !b_woke;
+  !b_token ();
+  Engine.run eng;
+  Alcotest.(check bool) "B woken by its own token" true !b_woke;
+  Alcotest.(check int) "no fibers left" 0 (Engine.alive eng)
+
+let test_stale_deadline_after_reuse () =
+  (* A's [wait_timeout] deadline outlives A (woken early, then done);
+     when it fires it must not time out B, which reuses A's block and
+     waits on the same queue without a deadline. *)
+  let eng = Engine.create () in
+  let q = Engine.waitq () in
+  let b_woke_at = ref (-1) in
+  Engine.spawn eng (fun () -> ignore (Engine.wait_timeout eng q 100));
+  Engine.schedule eng 10 (fun () -> ignore (Engine.wake_one eng q));
+  Engine.schedule eng 20 (fun () ->
+      Engine.spawn eng (fun () ->
+          Engine.wait eng q;
+          b_woke_at := Engine.now eng));
+  Engine.schedule eng 500 (fun () -> ignore (Engine.wake_one eng q));
+  Engine.run eng;
+  Alcotest.(check int) "B woken by wake_one, not A's deadline" 500 !b_woke_at;
+  Alcotest.(check int) "no fibers left" 0 (Engine.alive eng)
+
+let test_alive_failures_across_reuse () =
+  (* more fibers than the free list holds, two rounds, one failure per
+     round: counts stay exact whichever blocks are reused *)
+  let eng = Engine.create () in
+  let finished = ref 0 in
+  let round tag =
+    for i = 1 to 300 do
+      Engine.spawn eng (fun () ->
+          Engine.sleep eng i;
+          if i = 150 then failwith tag;
+          incr finished)
+    done;
+    Alcotest.(check int) (tag ^ ": all alive before run") 300
+      (Engine.alive eng);
+    (match Engine.run eng with
+    | () -> Alcotest.fail "a failed fiber must make run raise"
+    | exception Failure _ -> ());
+    Alcotest.(check int) (tag ^ ": none alive after run") 0 (Engine.alive eng)
+  in
+  round "boom1";
+  round "boom2";
+  Alcotest.(check int) "completed fibers" 598 !finished;
+  Alcotest.(check (list string)) "failures, oldest first" [ "boom1"; "boom2" ]
+    (List.map
+       (function Failure m -> m | e -> Printexc.to_string e)
+       (Engine.failures eng))
+
 (* --- misdirected blocking calls ------------------------------------- *)
 
 let raises_invalid_arg f =
@@ -591,7 +667,7 @@ module Ref = struct
   let create () =
     {
       now = 0;
-      events = Heap.create ();
+      events = Heap.create ~dummy:ignore ();
       timers = Wheel.create ~dummy:ignore ();
       next_seq = 0;
       horizon = max_int;
@@ -1019,6 +1095,12 @@ let () =
             test_double_resume_raises;
           Alcotest.test_case "stale resume raises" `Quick
             test_stale_resume_raises;
+          Alcotest.test_case "token outlives its fiber" `Quick
+            test_token_outlives_fiber;
+          Alcotest.test_case "stale deadline after reuse" `Quick
+            test_stale_deadline_after_reuse;
+          Alcotest.test_case "alive and failures across reuse" `Quick
+            test_alive_failures_across_reuse;
           Alcotest.test_case "sleep outside a fiber" `Quick
             test_sleep_outside_fiber;
           Alcotest.test_case "sleep on another engine" `Quick
@@ -1066,7 +1148,7 @@ let () =
           Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
           Alcotest.test_case "blocks" `Quick test_mailbox_blocks_until_send;
           Alcotest.test_case "recv timeout" `Quick test_mailbox_recv_timeout;
-          Alcotest.test_case "drain" `Quick test_mailbox_drain;
+          Alcotest.test_case "try_recv fifo" `Quick test_mailbox_try_recv_fifo;
         ] );
       ("determinism", [ Alcotest.test_case "replay" `Quick test_determinism ]);
     ]

@@ -177,7 +177,7 @@ let test_hexdump () =
 (* --- Heap ----------------------------------------------------------- *)
 
 let test_heap_order () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:0 () in
   List.iter (fun k -> Heap.push h ~key:k k) [ 5; 3; 8; 1; 9; 2 ];
   let out = ref [] in
   let rec drain () =
@@ -191,7 +191,7 @@ let test_heap_order () =
   Alcotest.(check (list int)) "sorted" [ 9; 8; 5; 3; 2; 1 ] !out
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:"" () in
   List.iter (fun v -> Heap.push h ~key:7 v) [ "a"; "b"; "c" ];
   let pop () = match Heap.pop h with Some (_, v) -> v | None -> "?" in
   let first = pop () in
@@ -201,16 +201,38 @@ let test_heap_fifo_ties () =
     [ first; second; third ]
 
 let test_heap_empty () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:0 () in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
   Alcotest.(check (option int)) "peek" None (Heap.peek_key h);
   Alcotest.(check bool) "pop none" true (Heap.pop h = None)
+
+(* Push an event closure capturing a fresh frame-sized buffer, watched
+   through [w]; kept out of line so no stack slot of the caller holds
+   the buffer. *)
+let[@inline never] push_watched h w ~key =
+  let frame = Bytes.make 1500 'x' in
+  Weak.set w 0 (Some frame);
+  Heap.push h ~key (fun () -> ignore (Sys.opaque_identity frame))
+
+let test_heap_releases_popped () =
+  (* popping until empty, then pushing again: neither the emptied slot 0
+     nor the slot the last element vacated may keep the fired closure *)
+  let h = Heap.create ~dummy:ignore () in
+  let w = Weak.create 1 in
+  Heap.push h ~key:1 ignore;
+  push_watched h w ~key:2;
+  (Heap.pop_min h) ();
+  (Heap.pop_min h) ();
+  Heap.push h ~key:3 ignore;
+  Gc.full_major ();
+  Alcotest.(check bool) "fired closure collectable" false (Weak.check w 0);
+  Alcotest.(check int) "live entry kept" 1 (Heap.size h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap: pop order is sorted" ~count:200
     QCheck.(list int)
     (fun keys ->
-      let h = Heap.create () in
+      let h = Heap.create ~dummy:() () in
       List.iter (fun k -> Heap.push h ~key:k ()) keys;
       let rec drain acc =
         match Heap.pop h with
@@ -376,6 +398,8 @@ let () =
           Alcotest.test_case "order" `Quick test_heap_order;
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "empty" `Quick test_heap_empty;
+          Alcotest.test_case "pop releases the value" `Quick
+            test_heap_releases_popped;
         ]
         @ qsuite [ prop_heap_sorts ] );
       ( "stats",

@@ -260,6 +260,24 @@ let test_send_path_allocation_guard () =
     Alcotest.failf "send-path allocation regression: %.0f minor words/segment"
       per_seg
 
+let test_datapath_allocation_guard () =
+  (* The per-frame path hands each wire frame to its receiver, reuses
+     fiber blocks and runs demux, mbuf views, checksums and TCP flags
+     without per-frame closures. Whole-simulation minor words per data
+     segment for 1 MB, bounded at the measurement (Mach 2.5 ~1125,
+     Library-SHM-IPF ~1068) plus 15%: putting back the wire's
+     per-receiver copy (~+195 words/segment) trips both. *)
+  List.iter
+    (fun (cfg, bound) ->
+      let w0 = Gc.minor_words () in
+      let r = W.Ttcp.run ~mb:1 cfg in
+      let w1 = Gc.minor_words () in
+      let per_seg = (w1 -. w0) /. float_of_int r.W.Ttcp.segs_out in
+      if per_seg > bound then
+        Alcotest.failf "%s: %.0f minor words/segment, bound %.0f"
+          cfg.Cfg.label per_seg bound)
+    [ (Cfg.mach25_kernel, 1125. *. 1.15); (Cfg.library_shm_ipf, 1068. *. 1.15) ]
+
 let test_newapi_loan_allocation_guard () =
   (* Loan-path discipline over a whole transfer: the NEWAPI drain hands
      out views and never cooks strings, so the run must show no flatten
@@ -678,6 +696,8 @@ let () =
             test_send_path_allocation_guard;
           Alcotest.test_case "newapi loan allocation guard" `Quick
             test_newapi_loan_allocation_guard;
+          Alcotest.test_case "datapath allocation guard" `Quick
+            test_datapath_allocation_guard;
         ] );
       ( "predict",
         [
