@@ -1,7 +1,7 @@
 type waiting = {
   mutable continuations : (Psd_link.Macaddr.t option -> unit) list;
   mutable tries_left : int;
-  mutable cancel : Psd_sim.Engine.cancel;
+  retry : Psd_sim.Engine.timer;
 }
 
 type t = {
@@ -42,18 +42,17 @@ let query t ip =
    charges cpu time (a Sleep effect), and raw timer events have no
    effect handler. Mirrors the tcp timer idiom. *)
 let rec arm_retry t ip w =
-  w.cancel <-
-    Psd_sim.Engine.after t.eng t.retry_interval_ns (fun () ->
-        Psd_sim.Engine.spawn t.eng ~name:"arp-retry" (fun () ->
-            if w.tries_left > 0 then begin
-              w.tries_left <- w.tries_left - 1;
-              query t ip;
-              arm_retry t ip w
-            end
-            else begin
-              Hashtbl.remove t.pending ip;
-              List.iter (fun k -> k None) (List.rev w.continuations)
-            end))
+  Psd_sim.Engine.timer_arm t.eng w.retry t.retry_interval_ns (fun () ->
+      Psd_sim.Engine.spawn t.eng ~name:"arp-retry" (fun () ->
+          if w.tries_left > 0 then begin
+            w.tries_left <- w.tries_left - 1;
+            query t ip;
+            arm_retry t ip w
+          end
+          else begin
+            Hashtbl.remove t.pending ip;
+            List.iter (fun k -> k None) (List.rev w.continuations)
+          end))
 
 let resolve t ip k =
   match Cache.lookup t.cache ip with
@@ -63,7 +62,11 @@ let resolve t ip k =
     | Some w -> w.continuations <- k :: w.continuations
     | None ->
       let w =
-        { continuations = [ k ]; tries_left = t.retries; cancel = (fun () -> ()) }
+        {
+          continuations = [ k ];
+          tries_left = t.retries;
+          retry = Psd_sim.Engine.timer ();
+        }
       in
       Hashtbl.add t.pending ip w;
       query t ip;
@@ -75,7 +78,7 @@ let learn t ip mac =
   | None -> ()
   | Some w ->
     Hashtbl.remove t.pending ip;
-    w.cancel ();
+    Psd_sim.Engine.timer_cancel t.eng w.retry;
     List.iter (fun k -> k (Some mac)) (List.rev w.continuations)
 
 let input t (p : Packet.t) =

@@ -5,7 +5,7 @@ type key = { src : Addr.t; dst : Addr.t; proto : int; ident : int }
 type datagram = {
   mutable frags : (int * Mbuf.t) list; (* (offset, payload) newest first *)
   mutable total : int option; (* payload length, known once MF=0 seen *)
-  cancel : Psd_sim.Engine.cancel;
+  timer : Psd_sim.Engine.timer; (* reassembly deadline *)
 }
 
 type t = {
@@ -62,14 +62,13 @@ let input t (h : Header.t) payload =
       match Hashtbl.find_opt t.table key with
       | Some dg -> dg
       | None ->
-        let cancel =
-          Psd_sim.Engine.after t.eng t.timeout_ns (fun () ->
-              if Hashtbl.mem t.table key then begin
-                Hashtbl.remove t.table key;
-                t.timed_out <- t.timed_out + 1
-              end)
-        in
-        let dg = { frags = []; total = None; cancel } in
+        let timer = Psd_sim.Engine.timer () in
+        (* cancelled on completion, the only other way out of the
+           table, so a firing timer always finds its datagram *)
+        Psd_sim.Engine.timer_arm t.eng timer t.timeout_ns (fun () ->
+            Hashtbl.remove t.table key;
+            t.timed_out <- t.timed_out + 1);
+        let dg = { frags = []; total = None; timer } in
         Hashtbl.add t.table key dg;
         dg
     in
@@ -100,7 +99,7 @@ let input t (h : Header.t) payload =
       match dg.total with
       | Some total when complete dg.frags total ->
         Hashtbl.remove t.table key;
-        dg.cancel ();
+        Psd_sim.Engine.timer_cancel t.eng dg.timer;
         let whole = assemble dg.frags total in
         let header =
           {

@@ -72,8 +72,7 @@ type t = {
   events : (unit -> unit) Psd_util.Heap.t;
   (* Re-armable protocol timers live on a hierarchical timing wheel
      instead of the heap: O(1) cancel/re-arm, and a cancelled timer
-     leaves no dead entry behind (a cancelled [after] stays in the heap
-     until its deadline as a no-op). Heap and wheel share [next_seq],
+     leaves no dead entry behind. Heap and wheel share [next_seq],
      so (key, seq) totally orders events across both queues and
      dispatch order is identical to a single-queue engine. *)
   timers : timer Wheel.t;
@@ -109,8 +108,6 @@ let finish t =
     t.free <- f;
     t.nfree <- t.nfree + 1
   end
-
-type cancel = unit -> unit
 
 let dummy_timer = { tnode = None; tfn = nop }
 
@@ -171,18 +168,13 @@ let schedule_abs t ~key f =
          t.now);
   Psd_util.Heap.push_seq t.events ~key ~seq:(alloc_seq t) f
 
-let after t dt f =
-  let cancelled = ref false in
-  schedule t dt (fun () -> if not !cancelled then f ());
-  fun () -> cancelled := true
-
 let timer () = { tnode = None; tfn = nop }
 
 let timer_arm t tm dt f =
   if dt < 0 then invalid_arg "Engine.timer_arm: negative delay";
   let key = t.now + dt in
-  (* One seq per arm, exactly like the heap push [after] would do, so
-     interleavings with heap events are unchanged. *)
+  (* One seq per arm, exactly like a heap push, so interleavings with
+     heap events are the same as if the timer lived in the heap. *)
   let seq = alloc_seq t in
   tm.tfn <- f;
   match tm.tnode with

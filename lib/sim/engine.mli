@@ -12,9 +12,6 @@
 
 type t
 
-type cancel = unit -> unit
-(** Cancels a pending timer; idempotent, and a no-op after firing. *)
-
 val create : ?seed:int -> unit -> t
 (** A fresh simulation world at time 0. [seed] (default 42) drives
     {!rng} and all derived generators. *)
@@ -91,21 +88,18 @@ val schedule_abs : t -> key:int -> (unit -> unit) -> unit
     computed as absolute times.
     @raise Invalid_argument if [key] is in the past. *)
 
-val after : t -> int -> (unit -> unit) -> cancel
-(** Like {!schedule} but cancellable — the shape used for protocol
-    timers (retransmit, delayed ACK, 2MSL...). *)
-
 type timer
-(** A re-armable timer slot backed by the engine's hierarchical timing
-    wheel. Functionally equivalent to keeping an {!after} cancel token
-    in a mutable slot, but arm/cancel/re-arm are O(1), cancellation
-    frees the entry immediately (a cancelled {!after} lingers in the
-    event queue as a no-op until its deadline), and wheel nodes are
-    pooled on a per-engine free list: firing or cancelling returns the
-    node (and drops the callback), so an idle timer slot is two words
-    and steady-state arm/fire churn does not allocate. Dispatch order
-    is identical either way: wheel entries carry the same
-    (time, sequence) pair a heap push would have been given. *)
+(** A cancellable, re-armable timer slot backed by the engine's
+    hierarchical timing wheel — the shape used for protocol timers
+    (retransmit, delayed ACK, 2MSL, ARP retry, reassembly timeout...).
+    Arm, cancel and re-arm are O(1), and cancelling removes the entry
+    at once, so a cancelled timer leaves nothing in the event queue.
+    Wheel nodes are pooled on a per-engine free list: firing or
+    cancelling returns the node (and drops the callback), so an idle
+    timer slot is two words and steady-state arm/fire churn does not
+    allocate. A wheel entry carries the same (time, sequence) pair a
+    {!schedule} at the arm would have been given, so timers and
+    scheduled callbacks interleave in one total order. *)
 
 val timer : unit -> timer
 (** A fresh, unarmed timer slot. *)
@@ -113,8 +107,8 @@ val timer : unit -> timer
 val timer_arm : t -> timer -> int -> (unit -> unit) -> unit
 (** [timer_arm t tm dt f] fires [f] once, [dt] nanoseconds from now
     ([f] must not block; spawn a fiber for blocking work). If [tm] is
-    already armed it is rescheduled — equivalent to cancelling the old
-    {!after} and creating a new one. *)
+    already armed it is rescheduled: the old deadline never fires, and
+    the new one is ordered as a fresh arm at this call. *)
 
 val timer_cancel : t -> timer -> unit
 (** Disarm; idempotent, no-op after firing. *)

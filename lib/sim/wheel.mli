@@ -7,6 +7,15 @@
     without changing a simulation's event order. Insert, cancel and
     re-arm are O(1); popping amortises the cursor cascade.
 
+    Storage: the [8 x 256] buckets are list heads in one flat array. A
+    per-wheel [nil] node ends every bucket list and stands in the array
+    for an empty bucket, so a fresh wheel's buckets cost one array, not
+    a sentinel record per bucket. A fired or cancelled node points only
+    at [nil], a released one only at the next node of the free list, so
+    neither keeps its former bucket neighbours reachable. No operation
+    allocates except {!insert}, and {!acquire} when the free list is
+    empty.
+
     Restriction that keeps placement O(1): the wheel's internal time
     only advances to the key of the entry being popped (the current
     minimum). Consequently every [insert]/[reinsert] key must be
@@ -51,14 +60,16 @@ val active : 'a node -> bool
 (** Whether the node is currently linked (armed and not yet fired). *)
 
 val min_key : 'a t -> int
-(** Smallest key, or [max_int] when empty. Amortised O(1). *)
+(** Smallest key, or [max_int] when empty. Amortised O(1); allocates
+    nothing (the minimum is cached as a node, not boxed per call). *)
 
 val min_seq : 'a t -> int
-(** Seq of the minimum entry, or [max_int] when empty. *)
+(** Seq of the minimum entry, or [max_int] when empty. Allocates
+    nothing. *)
 
 val pop_min : 'a t -> 'a
 (** Remove and return the minimum entry's value, advancing the wheel to
-    its key. Raises [Invalid_argument] when empty. *)
+    its key. Allocates nothing. Raises [Invalid_argument] when empty. *)
 
 val size : 'a t -> int
 

@@ -297,7 +297,8 @@ let eng t = t.ctx.Ctx.eng
    The five per-PCB timers share one wheel-backed slot mechanism:
    [set_timer] arms slot [i] (cancelling any previous arm) to run its
    body in a fresh fiber under the instance lock — the exact shape the
-   five hand-rolled [Engine.after]+[spawn] blocks used to have.
+   five hand-rolled cancellable-heap-event + [spawn] blocks used to
+   have.
 
    [tm_pending] deliberately tracks the *protocol's* view of each slot
    rather than the wheel node's linked state: the old code cleared the

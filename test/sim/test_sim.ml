@@ -34,13 +34,19 @@ let test_same_time_fifo () =
   Engine.run eng;
   Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4; 5 ] (List.rev !log)
 
-let test_after_cancel () =
+let test_timer_cancelled_before_fire () =
   let eng = Engine.create () in
   let fired = ref false in
-  let cancel = Engine.after eng 50 (fun () -> fired := true) in
-  Engine.schedule eng 10 (fun () -> cancel ());
+  let tm = Engine.timer () in
+  Engine.timer_arm eng tm 50 (fun () -> fired := true);
+  Engine.schedule eng 10 (fun () ->
+      Engine.timer_cancel eng tm;
+      Engine.timer_cancel eng tm (* idempotent *));
   Engine.run eng;
-  Alcotest.(check bool) "not fired" false !fired
+  Alcotest.(check bool) "not fired" false !fired;
+  (* the cancelled entry left nothing queued: the run ended at the
+     cancel, not at the dead deadline *)
+  Alcotest.(check int) "clock at the cancel" 10 (Engine.now eng)
 
 let test_run_until () =
   let eng = Engine.create () in
@@ -406,6 +412,205 @@ let prop_wheel_heap_differential =
       if not (Wheel.is_empty w) then
         QCheck.Test.fail_report "wheel retains entries after drain";
       !wheel_fired = !heap_fired)
+
+(* Minimum tracking under the pool: the wheel against the heap with the
+   cancelled entries skipped, checked after every operation rather than
+   only at a pop, so a cached minimum left stale by a cancel, re-arm or
+   release shows at once. Deltas are drawn log-uniformly up to 2^61:
+   level 7 holds keys that differ from the cursor in bits 56-61, so
+   deltas of at most 2^56 would reach it only through a carry. Entries
+   thus land on all eight levels and pops cascade through all of them.
+   Nodes come from [insert] and from the pool, go back to it armed or
+   not, and are re-armed in place while still linked. *)
+type owned = { node : int Wheel.node; mutable armed_seq : int }
+
+let prop_wheel_pool_min_tracking =
+  let delta = QCheck.Gen.(int_range 0 61 >>= fun e -> int_bound (1 lsl e)) in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (2, map (fun d -> `Ins d) delta);
+          (3, map (fun d -> `Acq d) delta);
+          (2, map2 (fun i d -> `Rearm (i, d)) (int_bound 10_000) delta);
+          (2, map (fun i -> `Cancel i) (int_bound 10_000));
+          (2, map (fun i -> `Release i) (int_bound 10_000));
+          (3, return `Pop);
+        ])
+  in
+  let print_op = function
+    | `Ins d -> Printf.sprintf "Ins %d" d
+    | `Acq d -> Printf.sprintf "Acq %d" d
+    | `Rearm (i, d) -> Printf.sprintf "Rearm(%d,%d)" i d
+    | `Cancel i -> Printf.sprintf "Cancel %d" i
+    | `Release i -> Printf.sprintf "Release %d" i
+    | `Pop -> "Pop"
+  in
+  QCheck.Test.make ~name:"wheel: pooled minimum = heap minimum" ~count:300
+    QCheck.(list_of_size Gen.(1 -- 200) (make ~print:print_op op_gen))
+    (fun ops ->
+      let w = Wheel.create ~dummy:(-1) () in
+      let h = Psd_util.Heap.create ~dummy:(-1) () in
+      let seq = ref 0 and floor = ref 0 in
+      let owned = ref [] and pooled = ref 0 and live = ref 0 in
+      let cancelled = Hashtbl.create 64 in
+      let next_key d = !floor + min d (max_int - 1 - !floor) in
+      let arm o d =
+        let key = next_key d and s = !seq in
+        incr seq;
+        Wheel.reinsert w o.node ~key ~seq:s s;
+        Psd_util.Heap.push_seq h ~key ~seq:s s;
+        o.armed_seq <- s;
+        incr live
+      in
+      let add make d =
+        let key = next_key d and s = !seq in
+        incr seq;
+        let node = make ~key ~seq:s s in
+        Psd_util.Heap.push_seq h ~key ~seq:s s;
+        owned := { node; armed_seq = s } :: !owned;
+        incr live
+      in
+      let disarm o =
+        if Wheel.active o.node then begin
+          Hashtbl.replace cancelled o.armed_seq ();
+          decr live
+        end
+      in
+      let pick i f =
+        match !owned with
+        | [] -> ()
+        | l -> f (List.nth l (i mod List.length l))
+      in
+      let forget o = owned := List.filter (fun o' -> o' != o) !owned in
+      let rec heap_live_min () =
+        if
+          (not (Psd_util.Heap.is_empty h))
+          && Hashtbl.mem cancelled (Psd_util.Heap.min_seq h)
+        then begin
+          ignore (Psd_util.Heap.pop_min h);
+          heap_live_min ()
+        end
+      in
+      let check op =
+        heap_live_min ();
+        let hk = Psd_util.Heap.min_key h and hs = Psd_util.Heap.min_seq h in
+        let wk = Wheel.min_key w and ws = Wheel.min_seq w in
+        if wk <> hk || ws <> hs || Wheel.size w <> !live
+           || Wheel.pool_size w <> !pooled
+        then
+          QCheck.Test.fail_reportf
+            "after %s: wheel min (%d, %d) size %d pool %d; heap min (%d, %d) \
+             live %d pool %d"
+            (print_op op) wk ws (Wheel.size w) (Wheel.pool_size w) hk hs !live
+            !pooled
+      in
+      let step op =
+        (match op with
+        | `Ins d -> add (Wheel.insert w) d
+        | `Acq d ->
+          if !pooled > 0 then decr pooled;
+          add (Wheel.acquire w) d
+        | `Rearm (i, d) ->
+          pick i (fun o ->
+              (* re-arm in place, as Engine.timer_arm does *)
+              disarm o;
+              Wheel.cancel w o.node;
+              arm o d)
+        | `Cancel i ->
+          pick i (fun o ->
+              disarm o;
+              Wheel.cancel w o.node)
+        | `Release i ->
+          pick i (fun o ->
+              disarm o;
+              forget o;
+              Wheel.release w o.node;
+              incr pooled)
+        | `Pop ->
+          heap_live_min ();
+          if not (Psd_util.Heap.is_empty h) then begin
+            let k = Psd_util.Heap.min_key h and s = Psd_util.Heap.min_seq h in
+            let v = Psd_util.Heap.pop_min h in
+            let wk = Wheel.min_key w and ws = Wheel.min_seq w in
+            let wv = Wheel.pop_min w in
+            if (wk, ws, wv) <> (k, s, v) then
+              QCheck.Test.fail_reportf "pop: wheel (%d, %d, %d), heap (%d, %d, %d)"
+                wk ws wv k s v;
+            floor := k;
+            decr live
+          end);
+        check op
+      in
+      List.iter step ops;
+      while !live > 0 do
+        step `Pop
+      done;
+      Wheel.is_empty w && Wheel.min_key w = max_int)
+
+(* A node out of the wheel — cancelled, fired, or released to the pool
+   — must keep neither its value nor its former bucket neighbours
+   reachable: a timer slot held by a quiescent connection would
+   otherwise pin whatever callback and nodes last shared its bucket. *)
+let fresh_value tag = Bytes.to_string (Bytes.make 16 tag)
+
+let[@inline never] wheel_retention_setup weak_nodes weak_values =
+  let w = Wheel.create ~dummy:"" () in
+  let track i n v =
+    Weak.set weak_nodes i (Some n);
+    Weak.set weak_values i (Some v)
+  in
+  (* cancelled: the middle of three entries in one bucket *)
+  let a = fresh_value 'a' and b = fresh_value 'b' and c = fresh_value 'c' in
+  let na = Wheel.insert w ~key:10 ~seq:0 a in
+  let nb = Wheel.insert w ~key:10 ~seq:1 b in
+  let nc = Wheel.insert w ~key:10 ~seq:2 c in
+  track 0 na a;
+  track 1 nb b;
+  track 2 nc c;
+  Wheel.cancel w nb;
+  Wheel.cancel w na;
+  Wheel.cancel w nc;
+  (* fired: the head of a two-entry bucket *)
+  let d = fresh_value 'd' and e = fresh_value 'e' in
+  let nd = Wheel.insert w ~key:20 ~seq:3 d in
+  let ne = Wheel.insert w ~key:20 ~seq:4 e in
+  track 3 nd d;
+  track 4 ne e;
+  ignore (Sys.opaque_identity (Wheel.pop_min w));
+  ignore (Sys.opaque_identity (Wheel.pop_min w));
+  (* released: the tail of a two-entry bucket, into an empty pool *)
+  let f = fresh_value 'f' and g = fresh_value 'g' in
+  let nf = Wheel.acquire w ~key:30 ~seq:5 f in
+  let ng = Wheel.acquire w ~key:30 ~seq:6 g in
+  track 5 nf f;
+  track 6 ng g;
+  Wheel.release w ng;
+  Wheel.cancel w nf;
+  (w, nb, nd, ng)
+
+let test_wheel_unlinked_retains_nothing () =
+  let weak_nodes = Weak.create 7 and weak_values = Weak.create 7 in
+  let w, kept_cancelled, kept_fired, kept_released =
+    wheel_retention_setup weak_nodes weak_values
+  in
+  Gc.full_major ();
+  let gone weak i = not (Weak.check weak i) in
+  List.iter
+    (fun (what, i) ->
+      Alcotest.(check bool) (what ^ ": value dropped") true (gone weak_values i))
+    [ ("cancelled", 1); ("fired", 3); ("released", 6) ];
+  List.iter
+    (fun (what, i) ->
+      Alcotest.(check bool) (what ^ ": neighbour unreachable") true
+        (gone weak_nodes i))
+    [ ("cancelled (prev)", 0); ("cancelled (next)", 2); ("fired (next)", 4);
+      ("released (prev)", 5) ];
+  Alcotest.(check bool) "kept nodes still alive" true
+    (Weak.check weak_nodes 1 && Weak.check weak_nodes 3
+    && Weak.check weak_nodes 6);
+  ignore
+    (Sys.opaque_identity (w, kept_cancelled, kept_fired, kept_released))
 
 (* Cross-queue ordering: timers (wheel) and scheduled events (heap)
    due at the same instant fire in global arm/schedule order, because
@@ -1015,9 +1220,13 @@ let prop_core_differential =
    three fibers hand a Lock off across a sleep. Every fiber operation
    here parks, wakes or charges time, so the minor words per operation
    measure the engine's own cost. *)
-let contended_words_per_op () =
+let contended_words_per_op ?(far_timer = false) () =
   let rounds = 2000 in
   let eng = Engine.create () in
+  (* an armed timer far past the run keeps the wheel non-empty, so every
+     minimum query of the dispatch loop and the sleep bypass reads the
+     wheel's cached minimum *)
+  if far_timer then Engine.timer_arm eng (Engine.timer ()) (Time.sec 3600) ignore;
   let cpu = Cpu.create eng in
   let ping = Cond.create eng and pong = Cond.create eng in
   let lock = Lock.create eng in
@@ -1071,6 +1280,80 @@ let test_engine_allocation_guard () =
   if per_op >= 5. then
     Alcotest.failf "engine allocation regression: %.1f minor words/op" per_op
 
+let test_far_timer_allocation_guard () =
+  (* The same program and bound with one timer armed throughout:
+     measured 2.7 words per operation, as without it. A minimum query
+     that boxes its answer costs 2 words per call, several calls per
+     event. *)
+  let per_op = contended_words_per_op ~far_timer:true () in
+  if per_op >= 5. then
+    Alcotest.failf "allocation with a far timer armed: %.1f minor words/op"
+      per_op
+
+(* Minor words plus words allocated directly on the major heap (blocks
+   too large for the minor heap) while running [f]. The major-heap
+   counters only catch up at a collection, hence the [Gc.minor] before
+   each reading; what [f] returns is still live at the second one, so
+   its promotion is subtracted with the other promoted words. *)
+let words_allocated f =
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
+  let r = f () in
+  let m1 = Gc.minor_words () in
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  ignore (Sys.opaque_identity r);
+  let direct_major =
+    s1.Gc.major_words -. s0.Gc.major_words
+    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+  in
+  m1 -. m0 +. direct_major
+
+let test_engine_create_allocation () =
+  (* Measured 99 minor words plus one 2,049-word bucket array (OCaml
+     5.1.1, x86-64). A bucket sentinel record per wheel slot comes to
+     2,048 records, over 30,000 words. *)
+  let words = words_allocated (fun () -> Engine.create ()) in
+  if words > 4096. then
+    Alcotest.failf "Engine.create allocates %.0f words" words
+
+let test_min_queries_allocation () =
+  let calls = 10_000 in
+  let w = Wheel.create ~dummy:0 () in
+  let first = Wheel.insert w ~key:1_000 ~seq:0 1 in
+  ignore (Wheel.insert w ~key:(1 lsl 40) ~seq:1 2);
+  ignore (Wheel.insert w ~key:2_000 ~seq:2 3);
+  (* cancelling the minimum leaves it unknown: the first query below
+     rescans, the rest read the cache *)
+  Wheel.cancel w first;
+  let sum = ref 0 in
+  let m0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    sum := !sum + Wheel.min_key w + Wheel.min_seq w
+  done;
+  let m1 = Gc.minor_words () in
+  Alcotest.(check int) "minimum" (calls * (2_000 + 2)) !sum;
+  (* fewer words than calls: nothing is allocated per call *)
+  if m1 -. m0 >= float_of_int calls then
+    Alcotest.failf "Wheel.min_key + min_seq: %.2f words per call"
+      ((m1 -. m0) /. float_of_int calls);
+  let eng = Engine.create () in
+  Engine.timer_arm eng (Engine.timer ()) (Time.sec 3600) ignore;
+  let words = ref 0. in
+  Engine.spawn eng (fun () ->
+      let m0 = Gc.minor_words () in
+      for _ = 1 to calls do
+        Engine.sleep eng 1
+      done;
+      words := Gc.minor_words () -. m0);
+  Engine.run eng;
+  (* the timer arm and the spawn; every sleep took the bypass *)
+  Alcotest.(check int) "events" 2 (Engine.events_scheduled eng);
+  if !words >= float_of_int calls then
+    Alcotest.failf "bypassed Engine.sleep: %.2f words per call"
+      (!words /. float_of_int calls)
+
 let () =
   Alcotest.run "psd_sim"
     [
@@ -1080,7 +1363,8 @@ let () =
           Alcotest.test_case "sleep advances" `Quick test_sleep_advances_clock;
           Alcotest.test_case "schedule order" `Quick test_schedule_ordering;
           Alcotest.test_case "same-time fifo" `Quick test_same_time_fifo;
-          Alcotest.test_case "after cancel" `Quick test_after_cancel;
+          Alcotest.test_case "timer cancelled before fire" `Quick
+            test_timer_cancelled_before_fire;
           Alcotest.test_case "run_until" `Quick test_run_until;
           Alcotest.test_case "fiber failure" `Quick test_fiber_failure_reported;
           Alcotest.test_case "nested spawn" `Quick test_spawn_nested;
@@ -1111,6 +1395,12 @@ let () =
         [
           Alcotest.test_case "engine allocation guard" `Quick
             test_engine_allocation_guard;
+          Alcotest.test_case "guard with a far timer" `Quick
+            test_far_timer_allocation_guard;
+          Alcotest.test_case "engine create" `Quick
+            test_engine_create_allocation;
+          Alcotest.test_case "min queries and bypassed sleep" `Quick
+            test_min_queries_allocation;
         ] );
       ( "wheel",
         [
@@ -1121,6 +1411,9 @@ let () =
           Alcotest.test_case "reinsert after cancel" `Quick
             test_wheel_reinsert_after_cancel;
           QCheck_alcotest.to_alcotest prop_wheel_heap_differential;
+          QCheck_alcotest.to_alcotest prop_wheel_pool_min_tracking;
+          Alcotest.test_case "unlinked nodes retain nothing" `Quick
+            test_wheel_unlinked_retains_nothing;
           Alcotest.test_case "timer/heap same-instant fifo" `Quick
             test_timer_heap_same_instant_fifo;
           Alcotest.test_case "timer cancel + re-arm" `Quick
