@@ -36,13 +36,12 @@ type session = {
 type t = {
   host : Psd_mach.Host.t;
   task : Psd_mach.Task.t;
-  config : Config.t;
+  library : bool; (* Library placement: sessions migrate to applications *)
   netdev : Psd_mach.Netdev.t;
   stack : Netstack.t;
   tcp_ports : Portalloc.t;
   udp_ports : Portalloc.t;
   arp_master : Psd_arp.Cache.t;
-  routes : Psd_ip.Route.t;
   sessions : (S.sid, session) Hashtbl.t;
   apps : (int, app_ref) Hashtbl.t;
   rpc : (S.req, S.resp) Psd_mach.Ipc.port;
@@ -61,17 +60,11 @@ let rpc_port t = t.rpc
 
 let stack t = t.stack
 
-let routes t = t.routes
-
 let arp_master t = t.arp_master
-
-let tcp_ports t = t.tcp_ports
 
 let sessions_active t = Hashtbl.length t.sessions
 
 let migrations t = t.migrations
-
-let host t = t.host
 
 let app_id a = a.a_id
 
@@ -176,16 +169,14 @@ let wire_stream_handlers t sess b =
 (* Handlers used while the server winds a connection down after the
    application closed it: incoming data is discarded but consumed so the
    peer is not stalled. *)
-let wire_drain_handlers t sess pcb_ref =
+let wire_drain_handlers t sess =
   {
     Psd_tcp.Tcp.null_handlers with
     Psd_tcp.Tcp.deliver =
-      (fun _ m ->
+      (fun pcb m ->
         let n = Psd_mbuf.Mbuf.length m in
         Psd_sim.Engine.spawn (eng t) ~name:"drain" (fun () ->
-            match !pcb_ref with
-            | Some pcb -> Psd_tcp.Tcp.user_consumed pcb n
-            | None -> ()));
+            Psd_tcp.Tcp.user_consumed pcb n));
     on_state =
       (fun _ st ->
         if st = Psd_tcp.Tcp.Closed then destroy_session t sess);
@@ -201,12 +192,7 @@ let fresh_sid t =
   t.next_sid <- sid + 1;
   sid
 
-let alloc_port t kind = function
-  | Some p -> (
-    match Portalloc.reserve (ports_of t kind) p with
-    | Ok () -> Ok p
-    | Error `In_use -> Error "address in use")
-  | None -> Ok (Portalloc.alloc_ephemeral (ports_of t kind))
+let ewouldblock = "operation would block"
 
 let readiness sess =
   match sess.location with
@@ -219,7 +205,51 @@ let readiness sess =
        | Some l -> Psd_tcp.Tcp.pending l > 0
        | None -> false)
 
-let migrate_to_library t = t.config.Config.placement = Config.Library
+(* A connected TCP session that stays in the server: [b] serves it and
+   no protocol state goes to the application. *)
+let serve_stream t sess b pcb =
+  b.b_tcp <- Some pcb;
+  Psd_tcp.Tcp.set_handlers pcb (wire_stream_handlers t sess b);
+  sess.location <- In_server b;
+  None
+
+(* The two directions of the paper's session migration. Each counts a
+   move only when the session actually changes side.
+
+   Out: the server keeps the name and points the session's filter at
+   the application's protocol library. A TCP session leaves with its
+   protocol state: [pcb] is exported from the server stack and muted
+   there, so segments racing the filter switch draw no RSTs. Re-running
+   it on a migrated UDP session (connect after bind) only re-installs
+   the filter, now naming the peer. *)
+let migrate_out t sess pcb =
+  let snap =
+    match (pcb, sess.lport, sess.remote) with
+    | Some pcb, Some local_port, Some remote ->
+      let snap = Psd_tcp.Tcp.export pcb in
+      Psd_tcp.Tcp.mute (Netstack.tcp t.stack) ~local_port ~remote
+        ~duration_ns:(Psd_sim.Time.sec 1);
+      Some snap
+    | _ -> None
+  in
+  install_session_filter t sess ~sink:sess.app.a_sink;
+  (match sess.location with
+  | In_app -> ()
+  | Embryonic | In_server _ ->
+    sess.location <- In_app;
+    t.migrations <- t.migrations + 1);
+  snap
+
+(* Home: the server's filter takes the session's packets again and the
+   session lives at [location], whose protocol state the caller has
+   already installed in the server stack (or is about to: a closing
+   TCP session is imported to run its shutdown here). *)
+let migrate_home t sess location =
+  install_session_filter t sess ~sink:(Netstack.sink t.stack);
+  (match sess.location with
+  | In_app -> t.migrations <- t.migrations + 1
+  | Embryonic | In_server _ -> ());
+  sess.location <- location
 
 let handle_socket t ~kind ~app_id =
   match Hashtbl.find_opt t.apps app_id with
@@ -241,7 +271,10 @@ let handle_socket t ~kind ~app_id =
       };
     S.Rs_socket sid
 
-let bind_server_udp t sess b port =
+(* A server-resident UDP session: datagrams queue, cooked, in a fresh
+   binding. *)
+let udp_binding t sess port =
+  let b = make_binding t in
   let receive dg =
     let ctx = sctx t in
     if Psd_socket.Dgramq.has_waiters b.b_dq then
@@ -259,35 +292,35 @@ let bind_server_udp t sess b port =
     (match sess.remote with
     | Some (ip, p) -> Psd_udp.Udp.connect pcb ip p
     | None -> ());
-    Ok ()
+    Ok b
   | Error `Port_in_use -> Error "port in use in server stack"
 
 let handle_bind t ~sid ~port =
   match find t sid with
   | None -> S.Rs_err "no such session"
   | Some sess -> (
-    match alloc_port t sess.kind port with
+    match Portalloc.claim (ports_of t sess.kind) port with
     | Error e -> S.Rs_err e
     | Ok port -> (
       sess.lport <- Some port;
       let local = (Netstack.addr t.stack, port) in
-      match (sess.kind, migrate_to_library t) with
+      let bound =
+        S.Rs_bound { S.m_local = local; m_remote = None; m_tcb = None }
+      in
+      match (sess.kind, t.library) with
       | S.Dgram, true ->
         (* the UDP session migrates to the application at bind time *)
-        install_session_filter t sess ~sink:sess.app.a_sink;
-        sess.location <- In_app;
-        t.migrations <- t.migrations + 1;
-        S.Rs_bound { S.m_local = local; m_remote = None; m_tcb = None }
+        ignore (migrate_out t sess None);
+        bound
       | S.Dgram, false -> (
-        let b = make_binding t in
-        match bind_server_udp t sess b port with
-        | Ok () ->
+        match udp_binding t sess port with
+        | Ok b ->
           sess.location <- In_server b;
-          S.Rs_bound { S.m_local = local; m_remote = None; m_tcb = None }
+          bound
         | Error e -> S.Rs_err e)
       | S.Stream, _ ->
         (* only the endpoint name is fixed at bind time for TCP *)
-        S.Rs_bound { S.m_local = local; m_remote = None; m_tcb = None }))
+        bound))
 
 let handle_connect t ~sid ~dst =
   match find t sid with
@@ -297,7 +330,7 @@ let handle_connect t ~sid ~dst =
     let port =
       match sess.lport with
       | Some p -> Ok p
-      | None -> alloc_port t sess.kind None
+      | None -> Portalloc.claim (ports_of t sess.kind) None
     in
     match port with
     | Error e -> S.Rs_err e
@@ -305,33 +338,31 @@ let handle_connect t ~sid ~dst =
       sess.lport <- Some port;
       let local = (Netstack.addr t.stack, port) in
       match sess.kind with
-      | S.Dgram ->
-        if migrate_to_library t then begin
-          install_session_filter t sess ~sink:sess.app.a_sink;
-          sess.location <- In_app;
-          if sess.location = In_app then ();
-          S.Rs_connected
-            { S.m_local = local; m_remote = Some dst; m_tcb = None }
-        end
-        else begin
-          match sess.location with
-          | In_server b -> (
-            match b.b_udp with
-            | Some pcb ->
+      | S.Dgram -> (
+        let connected =
+          if t.library then begin
+            ignore (migrate_out t sess None);
+            Ok ()
+          end
+          else
+            match sess.location with
+            | In_server { b_udp = Some pcb; _ } ->
               Psd_udp.Udp.connect pcb (fst dst) (snd dst);
               install_session_filter t sess ~sink:(Netstack.sink t.stack);
-              S.Rs_connected
-                { S.m_local = local; m_remote = Some dst; m_tcb = None }
-            | None -> S.Rs_err "not bound")
-          | _ -> (
-            let b = make_binding t in
-            match bind_server_udp t sess b port with
-            | Ok () ->
-              sess.location <- In_server b;
-              S.Rs_connected
-                { S.m_local = local; m_remote = Some dst; m_tcb = None }
-            | Error e -> S.Rs_err e)
-        end
+              Ok ()
+            | In_server { b_udp = None; _ } -> Error "not bound"
+            | Embryonic | In_app -> (
+              match udp_binding t sess port with
+              | Ok b ->
+                sess.location <- In_server b;
+                Ok ()
+              | Error e -> Error e)
+        in
+        match connected with
+        | Ok () ->
+          S.Rs_connected
+            { S.m_local = local; m_remote = Some dst; m_tcb = None }
+        | Error e -> S.Rs_err e)
       | S.Stream -> (
         (* Establishment is always performed by the operating system:
            packets for the nascent connection come to the server stack. *)
@@ -367,24 +398,12 @@ let handle_connect t ~sid ~dst =
           destroy_session t sess;
           S.Rs_err (Format.asprintf "%a" Psd_tcp.Tcp.pp_error e)
         | None ->
-          if migrate_to_library t then begin
-            let snap = Psd_tcp.Tcp.export pcb in
-            b.b_tcp <- None;
-            (* segments racing the filter switch must not draw RSTs *)
-            Psd_tcp.Tcp.mute (Netstack.tcp t.stack) ~local_port:port
-              ~remote:dst ~duration_ns:(Psd_sim.Time.sec 1);
-            install_session_filter t sess ~sink:sess.app.a_sink;
-            sess.location <- In_app;
-            t.migrations <- t.migrations + 1;
-            S.Rs_connected
-              { S.m_local = local; m_remote = Some dst; m_tcb = Some snap }
-          end
-          else begin
-            Psd_tcp.Tcp.set_handlers pcb (wire_stream_handlers t sess b);
-            sess.location <- In_server b;
-            S.Rs_connected
-              { S.m_local = local; m_remote = Some dst; m_tcb = None }
-          end)))
+          let tcb =
+            if t.library then migrate_out t sess (Some pcb)
+            else serve_stream t sess b pcb
+          in
+          S.Rs_connected
+            { S.m_local = local; m_remote = Some dst; m_tcb = tcb })))
 
 let handle_listen t ~sid ~backlog =
   match find t sid with
@@ -404,15 +423,18 @@ let handle_listen t ~sid ~backlog =
           Psd_sim.Cond.broadcast t.select_cond);
       sess.location <- In_server b;
       (* the wildcard filter brings handshake traffic to the server *)
-      if migrate_to_library t then
+      if t.library then
         install_session_filter t sess ~sink:(Netstack.sink t.stack);
       S.Rs_ok)
 
-let handle_accept t ~sid =
+let handle_accept t ~sid ~nonblocking =
   match find t sid with
   | None -> S.Rs_err "no such session"
   | Some sess -> (
     match sess.location with
+    | In_server { b_listener = Some listener; _ }
+      when nonblocking && Psd_tcp.Tcp.pending listener = 0 ->
+      S.Rs_err ewouldblock
     | In_server ({ b_listener = Some listener; _ } as b) -> (
       let pcb =
         Psd_sim.Cond.until b.b_accept (fun () ->
@@ -436,36 +458,18 @@ let handle_accept t ~sid =
       in
       Hashtbl.replace t.sessions sid' sess';
       let local = (Netstack.addr t.stack, Option.get sess.lport) in
-      if migrate_to_library t then begin
-        let snap = Psd_tcp.Tcp.export pcb in
-        Psd_tcp.Tcp.mute (Netstack.tcp t.stack)
-          ~local_port:(Option.get sess.lport) ~remote
-          ~duration_ns:(Psd_sim.Time.sec 1);
-        install_session_filter t sess' ~sink:sess'.app.a_sink;
-        sess'.location <- In_app;
-        t.migrations <- t.migrations + 1;
-        S.Rs_accepted
-          ( sid',
-            { S.m_local = local; m_remote = Some remote; m_tcb = Some snap }
-          )
-      end
-      else begin
-        let b' = make_binding t in
-        b'.b_tcp <- Some pcb;
-        Psd_tcp.Tcp.set_handlers pcb (wire_stream_handlers t sess' b');
-        sess'.location <- In_server b';
-        S.Rs_accepted
-          (sid', { S.m_local = local; m_remote = Some remote; m_tcb = None })
-      end)
+      let tcb =
+        if t.library then migrate_out t sess' (Some pcb)
+        else serve_stream t sess' (make_binding t) pcb
+      in
+      S.Rs_accepted
+        (sid', { S.m_local = local; m_remote = Some remote; m_tcb = tcb }))
     | _ -> S.Rs_err "accept on non-listening session")
 
 let import_to_server t sess snap =
   let b = make_binding t in
-  let pcb = ref None in
   let handlers = wire_stream_handlers t sess b in
-  let p = Psd_tcp.Tcp.import (Netstack.tcp t.stack) ~handlers snap in
-  pcb := Some p;
-  b.b_tcp <- Some p;
+  b.b_tcp <- Some (Psd_tcp.Tcp.import (Netstack.tcp t.stack) ~handlers snap);
   b
 
 let handle_return t ~sid ~tcb =
@@ -474,22 +478,16 @@ let handle_return t ~sid ~tcb =
   | Some sess -> (
     match (sess.kind, tcb) with
     | S.Stream, Some snap ->
-      let b = import_to_server t sess snap in
-      sess.location <- In_server b;
-      install_session_filter t sess ~sink:(Netstack.sink t.stack);
-      t.migrations <- t.migrations + 1;
+      migrate_home t sess (In_server (import_to_server t sess snap));
       Psd_sim.Cond.broadcast t.select_cond;
       S.Rs_ok
     | S.Dgram, _ -> (
       match sess.lport with
       | None -> S.Rs_err "return of unbound datagram session"
       | Some port -> (
-        let b = make_binding t in
-        match bind_server_udp t sess b port with
-        | Ok () ->
-          sess.location <- In_server b;
-          install_session_filter t sess ~sink:(Netstack.sink t.stack);
-          t.migrations <- t.migrations + 1;
+        match udp_binding t sess port with
+        | Ok b ->
+          migrate_home t sess (In_server b);
           S.Rs_ok
         | Error e -> S.Rs_err e))
     | S.Stream, None -> S.Rs_err "return without protocol state")
@@ -504,10 +502,7 @@ let handle_close t ~sid ~tcb =
     | Some snap ->
       (* the closer held the live state: bring it home so the surviving
          descriptor can keep using it *)
-      let b = import_to_server t sess snap in
-      sess.location <- In_server b;
-      install_session_filter t sess ~sink:(Netstack.sink t.stack);
-      t.migrations <- t.migrations + 1
+      migrate_home t sess (In_server (import_to_server t sess snap))
     | None -> ());
     S.Rs_ok
   | Some sess -> (
@@ -524,13 +519,9 @@ let handle_close t ~sid ~tcb =
       match (sess.location, tcb) with
       | In_app, Some snap ->
         (* migrate home, then run the full shutdown protocol here *)
-        install_session_filter t sess ~sink:(Netstack.sink t.stack);
-        t.migrations <- t.migrations + 1;
-        let pcb_ref = ref None in
-        let handlers = wire_drain_handlers t sess pcb_ref in
+        migrate_home t sess Embryonic;
+        let handlers = wire_drain_handlers t sess in
         let pcb = Psd_tcp.Tcp.import (Netstack.tcp t.stack) ~handlers snap in
-        pcb_ref := Some pcb;
-        sess.location <- Embryonic;
         Psd_tcp.Tcp.shutdown_send pcb;
         S.Rs_ok
       | In_server b, _ ->
@@ -551,7 +542,22 @@ let handle_close t ~sid ~tcb =
         destroy_session t sess;
         S.Rs_ok))
 
-let handle_send t ~sid ~data ~dst =
+let charge_send t =
+  let ctx = sctx t in
+  let plat = ctx.Ctx.plat in
+  Ctx.charge ctx Phase.Entry_copyin
+    (plat.Platform.socket_layer + plat.Platform.mbuf_alloc + ctx.Ctx.sync_ns)
+
+let sndbuf_space t pcb = t.snd_hiwat - Psd_tcp.Tcp.sndq_length pcb
+
+(* The server's socket layer performs a data-bearing RPC's fourth copy:
+   message data into mbufs. *)
+let enqueue_copy pcb data ~off ~len =
+  Psd_util.Copies.count Psd_util.Copies.Tx_copyin len;
+  Psd_tcp.Tcp.send pcb
+    (Psd_mbuf.Mbuf.of_bytes (Bytes.unsafe_of_string data) ~off ~len)
+
+let handle_send t ~sid ~data ~dst ~nonblocking =
   match find t sid with
   | None -> S.Rs_err "no such session"
   | Some sess -> (
@@ -561,13 +567,19 @@ let handle_send t ~sid ~data ~dst =
       | S.Stream -> (
         match b.b_tcp with
         | Some pcb when Psd_tcp.Tcp.can_send pcb ->
-          let ctx = sctx t in
-          let plat = ctx.Ctx.plat in
-          Ctx.charge ctx Phase.Entry_copyin
-            (plat.Platform.socket_layer + plat.Platform.mbuf_alloc
-           + ctx.Ctx.sync_ns);
-          (* send-buffer backpressure: chunk large writes *)
+          charge_send t;
           let len = String.length data in
+          (* send-buffer backpressure: chunk large writes; a non-blocking
+             sender gets what fits now *)
+          if nonblocking then
+            let space = sndbuf_space t pcb in
+            if space <= 0 then S.Rs_err ewouldblock
+            else begin
+              let n = min space len in
+              enqueue_copy pcb data ~off:0 ~len:n;
+              S.Rs_sent n
+            end
+          else
           let rec push off =
             if off >= len then S.Rs_ok
             else begin
@@ -576,7 +588,7 @@ let handle_send t ~sid ~data ~dst =
                     if Psd_tcp.Tcp.state pcb = Psd_tcp.Tcp.Closed then
                       Some 0
                     else
-                      let sp = t.snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
+                      let sp = sndbuf_space t pcb in
                       if sp > 0 then Some sp else None)
               in
               if space = 0 then S.Rs_err "connection closed"
@@ -584,12 +596,7 @@ let handle_send t ~sid ~data ~dst =
                 S.Rs_err "connection closed"
               else begin
                 let n = min space (len - off) in
-                (* the server's socket layer performs the RPC's fourth
-                   copy: message data into mbufs *)
-                Psd_util.Copies.count Psd_util.Copies.Tx_copyin n;
-                Psd_tcp.Tcp.send pcb
-                  (Psd_mbuf.Mbuf.of_bytes (Bytes.unsafe_of_string data)
-                     ~off ~len:n);
+                enqueue_copy pcb data ~off ~len:n;
                 push (off + n)
               end
             end
@@ -602,18 +609,10 @@ let handle_send t ~sid ~data ~dst =
         | Some pcb when Psd_udp.Udp.take_error pcb <> None ->
           S.Rs_err "connection refused"
         | Some pcb -> (
-          let ctx = sctx t in
-          let plat = ctx.Ctx.plat in
-          Ctx.charge ctx Phase.Entry_copyin
-            (plat.Platform.socket_layer + plat.Platform.mbuf_alloc
-           + ctx.Ctx.sync_ns);
+          charge_send t;
           Psd_util.Copies.count Psd_util.Copies.Tx_copyin
             (String.length data);
-          match
-            Psd_udp.Udp.send pcb
-              ?dst:(Option.map (fun (ip, p) -> (ip, p)) dst)
-              (Psd_mbuf.Mbuf.of_string data)
-          with
+          match Psd_udp.Udp.send pcb ?dst (Psd_mbuf.Mbuf.of_string data) with
           | Ok () -> S.Rs_ok
           | Error `No_destination -> S.Rs_err "destination required"
           | Error `No_route -> S.Rs_err "no route to host"
@@ -621,11 +620,17 @@ let handle_send t ~sid ~data ~dst =
         | None -> S.Rs_err "not bound"))
     | _ -> S.Rs_err "session not resident in server")
 
-let handle_recv t ~sid ~max =
+let handle_recv t ~sid ~max ~nonblocking =
   match find t sid with
   | None -> S.Rs_err "no such session"
   | Some sess -> (
     match sess.location with
+    | In_server b
+      when nonblocking
+           && not
+                (Psd_socket.Sockbuf.readable b.b_rcv
+                || Psd_socket.Dgramq.readable b.b_dq) ->
+      S.Rs_err ewouldblock
     | In_server b -> (
       match sess.kind with
       | S.Stream -> (
@@ -714,7 +719,7 @@ let handle t req =
   | S.R_bind { sid; port } -> handle_bind t ~sid ~port
   | S.R_connect { sid; dst } -> handle_connect t ~sid ~dst
   | S.R_listen { sid; backlog } -> handle_listen t ~sid ~backlog
-  | S.R_accept { sid } -> handle_accept t ~sid
+  | S.R_accept { sid; nonblocking } -> handle_accept t ~sid ~nonblocking
   | S.R_return { sid; tcb } -> handle_return t ~sid ~tcb
   | S.R_close { sid; tcb } -> handle_close t ~sid ~tcb
   | S.R_status { sid; readable } -> (
@@ -726,8 +731,9 @@ let handle t req =
     | None -> S.Rs_ok)
   | S.R_select { app = _; sids; timeout_ns } -> handle_select t ~sids ~timeout_ns
   | S.R_arp ip -> handle_arp t ip
-  | S.R_send { sid; data; dst } -> handle_send t ~sid ~data ~dst
-  | S.R_recv { sid; max } -> handle_recv t ~sid ~max
+  | S.R_send { sid; data; dst; nonblocking } ->
+    handle_send t ~sid ~data ~dst ~nonblocking
+  | S.R_recv { sid; max; nonblocking } -> handle_recv t ~sid ~max ~nonblocking
   | S.R_shutdown { sid } -> (
     match find t sid with
     | Some { location = In_server { b_tcp = Some pcb; _ }; _ } ->
@@ -768,13 +774,12 @@ let create ~host ~netdev ~config ~addr ~routes ?rcv_buf ?delack_ns () =
     {
       host;
       task;
-      config;
+      library = config.Config.placement = Config.Library;
       netdev;
       stack;
       tcp_ports = Portalloc.create ();
       udp_ports = Portalloc.create ();
       arp_master;
-      routes;
       sessions = Hashtbl.create 32;
       apps = Hashtbl.create 8;
       rpc = Psd_mach.Ipc.create_port host;
@@ -785,28 +790,19 @@ let create ~host ~netdev ~config ~addr ~routes ?rcv_buf ?delack_ns () =
       snd_hiwat = 24 * 1024;
     }
   in
-  (* standing filters: ARP always; all IP when the server runs the whole
-     data path (Server placement) *)
+  (* standing filters: ARP, and all IP — for the whole data path under
+     Server placement; under Library, at the lowest priority, for the
+     exceptional packets (segments for unknown ports, ICMP) that fall
+     through every session filter to the operating system *)
+  let sink = Netstack.sink stack in
   let (_ : Psd_mach.Netdev.filter_id) =
-    Psd_mach.Netdev.attach netdev ~prio:50 ~prog:Psd_bpf.Filter.arp
-      ~sink:(Netstack.sink stack) ()
+    Psd_mach.Netdev.attach netdev ~prio:50 ~prog:Psd_bpf.Filter.arp ~sink ()
   in
-  (match config.Config.placement with
-  | Config.Server ->
-    let (_ : Psd_mach.Netdev.filter_id) =
-      Psd_mach.Netdev.attach netdev ~prio:100 ~prog:Psd_bpf.Filter.ip_all
-        ~sink:(Netstack.sink stack) ()
-    in
-    ()
-  | Config.Library ->
-    (* exceptional packets — segments for unknown ports, ICMP — fall
-       through every session filter to the operating system *)
-    let (_ : Psd_mach.Netdev.filter_id) =
-      Psd_mach.Netdev.attach netdev ~prio:200 ~prog:Psd_bpf.Filter.ip_all
-        ~sink:(Netstack.sink stack) ()
-    in
-    ()
-  | Config.In_kernel | Config.Offload -> ());
+  let (_ : Psd_mach.Netdev.filter_id) =
+    Psd_mach.Netdev.attach netdev
+      ~prio:(if t.library then 200 else 100)
+      ~prog:Psd_bpf.Filter.ip_all ~sink ()
+  in
   (* ICMP port-unreachables for sessions that migrated to applications
      are forwarded as soft errors (one kernel message each) *)
   (match Netstack.icmp stack with

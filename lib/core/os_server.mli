@@ -49,17 +49,14 @@ val app_id : app_ref -> int
 
 val stack : t -> Netstack.t
 
-val routes : t -> Psd_ip.Route.t
-(** Master routing table (metastate). *)
-
 val arp_master : t -> Psd_arp.Cache.t
 (** Master ARP cache; application caches subscribe to its updates. *)
-
-val tcp_ports : t -> Portalloc.t
 
 val sessions_active : t -> int
 
 val migrations : t -> int
-(** Sessions moved between server and applications since start. *)
+(** Sessions moved between server and applications since start: each
+    move out (bind or connect of a datagram session, connect or accept
+    of a stream) and each move home (return before [fork], close) that
+    changes the session's side counts once. *)
 
-val host : t -> Psd_mach.Host.t

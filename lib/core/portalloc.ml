@@ -59,6 +59,13 @@ let alloc_ephemeral t =
   in
   fresh ()
 
+let claim t = function
+  | Some p -> (
+    match reserve t p with
+    | Ok () -> Ok p
+    | Error `In_use -> Error "address in use")
+  | None -> Ok (alloc_ephemeral t)
+
 let release t port =
   if Hashtbl.mem t.used port then begin
     Hashtbl.remove t.used port;

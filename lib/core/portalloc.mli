@@ -19,6 +19,9 @@ val alloc_ephemeral : t -> int
     scan produced), then FIFO recycling of released ports.
     @raise Failure if the namespace is exhausted. *)
 
+val claim : t -> int option -> (int, string) result
+(** A [bind]'s port: the named one, or the next ephemeral one. *)
+
 val release : t -> int -> unit
 
 val in_use : t -> int -> bool

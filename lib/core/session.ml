@@ -13,14 +13,19 @@ type req =
   | R_bind of { sid : sid; port : int option }
   | R_connect of { sid : sid; dst : endpoint }
   | R_listen of { sid : sid; backlog : int }
-  | R_accept of { sid : sid }
+  | R_accept of { sid : sid; nonblocking : bool }
   | R_return of { sid : sid; tcb : Psd_tcp.Tcp.snapshot option }
   | R_close of { sid : sid; tcb : Psd_tcp.Tcp.snapshot option }
   | R_status of { sid : sid; readable : bool }
   | R_select of { app : int; sids : sid list; timeout_ns : int option }
   | R_arp of Psd_ip.Addr.t
-  | R_send of { sid : sid; data : string; dst : endpoint option }
-  | R_recv of { sid : sid; max : int }
+  | R_send of {
+      sid : sid;
+      data : string;
+      dst : endpoint option;
+      nonblocking : bool;
+    }
+  | R_recv of { sid : sid; max : int; nonblocking : bool }
   | R_shutdown of { sid : sid }
   | R_dup of { sid : sid }
   | R_task_exited of { app : int }
@@ -41,3 +46,4 @@ type resp =
   | Rs_select of sid list
   | Rs_arp of Psd_link.Macaddr.t option
   | Rs_recv of (string * endpoint option, [ `Eof | `Err of string ]) result
+  | Rs_sent of int

@@ -12,13 +12,15 @@ type endpoint = Psd_ip.Addr.t * int
 
 (** Requests the proxy sends to the server (the [proxy_*] column of the
     paper's Table 1, plus the data operations used while a session is
-    server-resident, the cooperative-select calls, and metastate reads). *)
+    server-resident, the cooperative-select calls, and metastate reads).
+    [nonblocking] carries the descriptor's non-blocking mode: the server
+    answers [Rs_err "operation would block"] instead of waiting. *)
 type req =
   | R_socket of { kind : kind; app : int }
   | R_bind of { sid : sid; port : int option }
   | R_connect of { sid : sid; dst : endpoint }
   | R_listen of { sid : sid; backlog : int }
-  | R_accept of { sid : sid }
+  | R_accept of { sid : sid; nonblocking : bool }
   | R_return of { sid : sid; tcb : Psd_tcp.Tcp.snapshot option }
       (** migrate a session back before [fork] *)
   | R_close of { sid : sid; tcb : Psd_tcp.Tcp.snapshot option }
@@ -26,8 +28,13 @@ type req =
       (** cooperative select: the application reports a readiness change *)
   | R_select of { app : int; sids : sid list; timeout_ns : int option }
   | R_arp of Psd_ip.Addr.t
-  | R_send of { sid : sid; data : string; dst : endpoint option }
-  | R_recv of { sid : sid; max : int }
+  | R_send of {
+      sid : sid;
+      data : string;
+      dst : endpoint option;
+      nonblocking : bool;
+    }
+  | R_recv of { sid : sid; max : int; nonblocking : bool }
   | R_shutdown of { sid : sid }
       (** half-close: stop sending, keep receiving *)
   | R_dup of { sid : sid }
@@ -55,3 +62,5 @@ type resp =
   | Rs_select of sid list  (** sessions now readable ([] = timeout) *)
   | Rs_arp of Psd_link.Macaddr.t option
   | Rs_recv of (string * endpoint option, [ `Eof | `Err of string ]) result
+  | Rs_sent of int
+      (** a non-blocking stream send accepted this many bytes *)

@@ -1,17 +1,44 @@
 open Psd_cost
 module S = Session
 
+(* Where an application's sessions live, fixed when the app is built.
+   In-kernel and Offload keep them in a stack on this host with no
+   operating-system server in the loop (the kernel stack or the on-NIC
+   stack) and allocate ports themselves; Server and Library reach every
+   session through the proxy, and Library also links a protocol library
+   into which the server migrates established sessions. *)
+type route =
+  | Local of {
+      stack : Netstack.t;
+      tcp_ports : Portalloc.t;
+      udp_ports : Portalloc.t;
+    }
+  | Proxy of {
+      port : (S.req, S.resp) Psd_mach.Ipc.port;
+      app_id : int;
+      library : Netstack.t option;
+    }
+
+type crossing =
+  | Trap
+  | Call
+  | Ring of { nic : Platform.nic; pipe : Psd_mach.Nicpipe.t }
+
+(* What a call across the socket boundary costs and copies, fixed with
+   the route. *)
+type boundary = {
+  crossing : crossing;
+  copy_per_byte : int; (* user data in or out; 0 under NEWAPI *)
+  copyin : bool; (* send data crosses an address space (In-kernel) *)
+  loaned_dgrams : bool; (* NEWAPI: datagrams queue as payload views *)
+}
+
 type app = {
   host : Psd_mach.Host.t;
-  config : Config.t;
   task : Psd_mach.Task.t;
-  stack : Netstack.t option; (* protocol library (Library placement) *)
+  route : route;
+  boundary : boundary;
   call_ctx : Ctx.t;
-  server : (S.req, S.resp) Psd_mach.Ipc.port option;
-  server_app_id : int option;
-  kernel_stack : Netstack.t option;
-  kernel_tcp_ports : Portalloc.t option;
-  kernel_udp_ports : Portalloc.t option;
   local_cond : Psd_sim.Cond.t; (* any local socket changed readiness *)
   (* [sockets] may contain closed entries: [close] only marks and
      counts them, and the list is compacted once half of it is dead —
@@ -21,13 +48,13 @@ type app = {
   mutable sockets : t list;
   mutable n_socks : int; (* length of [sockets], dead included *)
   mutable dead_socks : int; (* closed entries awaiting compaction *)
-  mutable forker : (name:string -> app) option;
+  forker : name:string -> app; (* builds the child of a [fork] *)
   mutable next_local_sid : int;
-  (* One shared TCP handlers record per stack (an app sees at most two:
-     its library stack and the kernel stack). Callbacks recover the
-     socket from the pcb's owner token, so a million connections share
-     one record instead of carrying six closures each. *)
-  mutable stream_h : (Netstack.t * Psd_tcp.Tcp.handlers) list;
+  (* One shared TCP handlers record for the app's one local stack (its
+     kernel, on-NIC or library stack). Callbacks recover the socket from
+     the pcb's owner token, so a million connections share one record
+     instead of carrying six closures each. *)
+  mutable stream_h : Psd_tcp.Tcp.handlers option;
 }
 
 (* The socket record is sized for the C1M workload: a million mostly
@@ -112,10 +139,6 @@ let[@inline] nonblocking s = sflag s f_nonblocking
 
 let snd_hiwat = 24 * 1024
 
-let task a = a.task
-
-let app_stack a = a.stack
-
 let kind s = s.knd
 
 let local_endpoint s =
@@ -140,30 +163,12 @@ let set_nodelay s v =
 
 let eng a = Psd_mach.Host.eng a.host
 
-let in_kernel a = a.config.Config.placement = Config.In_kernel
-
-let offloaded a = a.config.Config.placement = Config.Offload
-
-(* Sessions live in a stack on this host with no OS server in the loop:
-   the kernel stack (In_kernel) or the on-NIC stack (Offload).  Both
-   dispatch through the kernel_stack/kernel_ports plumbing; they differ
-   only in what the call boundary costs (a trap vs a descriptor-ring
-   crossing) and in copy physics. *)
-let local_stack a = in_kernel a || offloaded a
-
-(* The NIC pipeline behind an offloaded app's stack, for the
-   doorbell/completion counters. *)
-let nic_pipe a =
-  match a.kernel_stack with
-  | Some stack -> Psd_mach.Netdev.offload_pipe (Netstack.netdev stack)
-  | None -> None
-
 let location s =
-  match s.loc with
-  | Fresh -> Loc_none
-  | Remote -> Loc_server
-  | Llisten _ | Ltcp _ | Ludp _ ->
-    if local_stack s.a then Loc_kernel else Loc_library
+  match (s.loc, s.a.route) with
+  | Fresh, _ -> Loc_none
+  | Remote, _ -> Loc_server
+  | (Llisten _ | Ltcp _ | Ludp _), Local _ -> Loc_kernel
+  | (Llisten _ | Ltcp _ | Ludp _), Proxy _ -> Loc_library
 
 let sb_readable = function
   | Some b -> Psd_socket.Sockbuf.readable b
@@ -185,14 +190,13 @@ let readable s =
 (* ------------------------------------------------------------------ *)
 (* proxy: RPC plumbing and the cooperative status protocol             *)
 
-let server_port a =
-  match a.server with
-  | Some p -> p
-  | None -> invalid_arg "Sockets: no operating-system server"
-
+(* Only [Proxy] arms and [Remote] sockets, which exist only under a
+   proxy route, call the server. *)
 let rpc s ?req_bytes ?resp_size ?(phase = Phase.Control) req =
-  Psd_mach.Ipc.call (server_port s.a) ~ctx:s.a.call_ctx ~phase ?req_bytes
-    ?resp_size req
+  match s.a.route with
+  | Proxy { port; _ } ->
+    Psd_mach.Ipc.call port ~ctx:s.a.call_ctx ~phase ?req_bytes ?resp_size req
+  | Local _ -> S.Rs_err "no operating-system server"
 
 (* proxy_status: tell the server when a selected socket's readiness
    changes (it cannot observe application-resident sessions itself).
@@ -207,11 +211,11 @@ let notify_status s =
     in
     if must_tell then begin
       set_sflag s f_reported r;
-      match s.a.server with
-      | Some port ->
+      match s.a.route with
+      | Proxy { port; _ } ->
         Psd_mach.Ipc.oneway port ~ctx:s.a.call_ctx ~phase:Phase.Control
           (S.R_status { sid = s.sid; readable = r })
-      | None -> ()
+      | Local _ -> ()
     end
   end
 
@@ -299,71 +303,68 @@ let maybe_deflate_dq s =
 let ewouldblock = "operation would block"
 
 (* ------------------------------------------------------------------ *)
-(* cost charging for the data path entry/exit                          *)
+(* cost charging at the socket boundary                                *)
 
 let chunks len = max 1 ((len + Psd_mbuf.Mbuf.cluster_size - 1) / Psd_mbuf.Mbuf.cluster_size)
 
-(* Entry into the socket layer for a local (kernel or library) session.
-   When the data is not copied (library UDP: "the user data can be
+(* One data call across the boundary of a local (kernel, on-NIC or
+   library) session; [layer_ns] is the socket layer's own work. Under
+   Offload the host's only datapath work is the descriptor ring: a send
+   ([Entry_copyin]) rings the doorbell, a receive reaps a completion,
+   and each descriptor pays the bounded host<->NIC queue crossing,
+   attributed to its own phase so the breakdown table shows where the
+   boundary cost lands. Everything the on-NIC stack itself charges is
+   zero under the zero-cost platform, so these are the whole host-side
+   cost. *)
+let charge_data a (stack : Netstack.t) phase ~layer_ns =
+  let ctx = Netstack.ctx stack in
+  let call_ns =
+    match a.boundary.crossing with
+    | Trap -> ctx.Ctx.plat.Platform.trap
+    | Call -> ctx.Ctx.plat.Platform.proc_call
+    | Ring { nic; pipe } ->
+      let send = phase == Phase.Entry_copyin in
+      Ctx.charge a.call_ctx phase
+        (if send then nic.Platform.doorbell else nic.Platform.completion);
+      Ctx.charge a.call_ctx Phase.Desc_crossing nic.Platform.crossing;
+      if send then Psd_mach.Nicpipe.doorbell pipe
+      else Psd_mach.Nicpipe.completion pipe;
+      ctx.Ctx.plat.Platform.proc_call
+  in
+  Ctx.charge ctx phase (call_ns + layer_ns + ctx.Ctx.sync_ns)
+
+(* When the data is not copied (library UDP: "the user data can be
    referenced instead of copied", Table 4) no mbuf storage is allocated
    either. *)
-(* Offload boundary: the host's only datapath work is the descriptor
-   ring.  A send rings the doorbell; a receive reaps a completion; each
-   descriptor pays the bounded host<->NIC queue crossing, attributed to
-   its own phase so the breakdown table shows where the boundary cost
-   lands.  Everything the stack itself charges is zero under the
-   zero-cost platform, so these are the whole host-side cost. *)
-let charge_doorbell a =
-  match a.config.Config.nic with
-  | Some n ->
-    Ctx.charge a.call_ctx Phase.Entry_copyin n.Platform.doorbell;
-    Ctx.charge a.call_ctx Phase.Desc_crossing n.Platform.crossing;
-    (match nic_pipe a with
-    | Some p -> Psd_mach.Nicpipe.doorbell p
-    | None -> ())
-  | None -> ()
+let charge_entry a stack ~len ~copies =
+  let plat = (Netstack.ctx stack).Ctx.plat in
+  charge_data a stack Phase.Entry_copyin
+    ~layer_ns:
+      (plat.Platform.socket_layer
+      +
+      if copies then
+        (chunks len * plat.Platform.mbuf_alloc)
+        + (len * a.boundary.copy_per_byte)
+      else 0)
 
-let charge_completion a =
-  match a.config.Config.nic with
-  | Some n ->
-    Ctx.charge a.call_ctx Phase.Copyout_exit n.Platform.completion;
-    Ctx.charge a.call_ctx Phase.Desc_crossing n.Platform.crossing;
-    (match nic_pipe a with
-    | Some p -> Psd_mach.Nicpipe.completion p
-    | None -> ())
-  | None -> ()
+let charge_exit a stack ~len =
+  let plat = (Netstack.ctx stack).Ctx.plat in
+  charge_data a stack Phase.Copyout_exit
+    ~layer_ns:(plat.Platform.mbuf_op + (len * a.boundary.copy_per_byte))
 
-let charge_entry a (stack : Netstack.t) ~len ~copies =
-  if offloaded a then charge_doorbell a;
-  let ctx = Netstack.ctx stack in
-  let plat = ctx.Ctx.plat in
-  let via_trap = in_kernel a in
-  let copy_per_byte =
-    if a.config.Config.api = Config.Newapi then 0
-    else if via_trap then plat.Platform.copy_user_kernel_per_byte
-    else plat.Platform.copy_per_byte
-  in
-  Ctx.charge ctx Phase.Entry_copyin
-    ((if via_trap then plat.Platform.trap else plat.Platform.proc_call)
-    + plat.Platform.socket_layer
-    + (if copies then chunks len * plat.Platform.mbuf_alloc else 0)
-    + ctx.Ctx.sync_ns
-    + if copies then len * copy_per_byte else 0)
-
-let charge_exit a (stack : Netstack.t) ~len ~copies =
-  if offloaded a then charge_completion a;
-  let ctx = Netstack.ctx stack in
-  let plat = ctx.Ctx.plat in
-  let via_trap = in_kernel a in
-  let copy_per_byte =
-    if a.config.Config.api = Config.Newapi then 0
-    else if via_trap then plat.Platform.copy_user_kernel_per_byte
-    else plat.Platform.copy_per_byte
-  in
-  Ctx.charge ctx Phase.Copyout_exit
-    ((if via_trap then plat.Platform.trap else plat.Platform.proc_call)
-    + plat.Platform.mbuf_op + ctx.Ctx.sync_ns
-    + if copies then len * copy_per_byte else 0)
+(* A control call on a local route: a trap, or a descriptor posted and
+   reaped on the ring. A library's control calls are proxy RPCs, which
+   charge themselves. *)
+let charge_control a =
+  match a.boundary.crossing with
+  | Trap ->
+    Ctx.charge a.call_ctx Phase.Control
+      (Psd_mach.Host.plat a.host).Platform.trap
+  | Ring { nic; _ } ->
+    Ctx.charge a.call_ctx Phase.Control
+      (nic.Platform.doorbell + nic.Platform.completion);
+    Ctx.charge a.call_ctx Phase.Desc_crossing (2 * nic.Platform.crossing)
+  | Call -> ()
 
 (* ------------------------------------------------------------------ *)
 (* socket creation                                                     *)
@@ -406,17 +407,16 @@ let fresh_local_sid a =
    cause (unknown application, resource exhaustion, ...) and it must
    reach the caller instead of collapsing into a generic exception. *)
 let create_socket a knd =
-  if local_stack a then Ok (make_socket a knd (fresh_local_sid a))
-  else begin
-    let app_id = Option.get a.server_app_id in
+  match a.route with
+  | Local _ -> Ok (make_socket a knd (fresh_local_sid a))
+  | Proxy { port; app_id; _ } -> (
     match
-      Psd_mach.Ipc.call (server_port a) ~ctx:a.call_ctx ~phase:Phase.Control
+      Psd_mach.Ipc.call port ~ctx:a.call_ctx ~phase:Phase.Control
         (S.R_socket { kind = knd; app = app_id })
     with
     | S.Rs_socket sid -> Ok (make_socket a knd sid)
     | S.Rs_err e -> Error e
-    | _ -> Error "unexpected reply to socket request"
-  end
+    | _ -> Error "unexpected reply to socket request")
 
 let try_stream a = create_socket a S.Stream
 
@@ -485,11 +485,11 @@ let fire_hangup s =
     Psd_sim.Engine.spawn (eng s.a) ~name:"sock-hangup" k
   | None -> ()
 
-(* One handlers record per stack, cached on the app: every callback
+(* One handlers record per app, built on first use: every callback
    recovers its socket from the pcb's owner token, so connections share
    the record instead of closing over their socket six times each. *)
 let stream_handlers a (stack : Netstack.t) =
-  match List.assq_opt stack a.stream_h with
+  match a.stream_h with
   | Some h -> h
   | None ->
     let ctx = Netstack.ctx stack in
@@ -539,15 +539,38 @@ let stream_handlers a (stack : Netstack.t) =
         on_state = (fun pcb _ -> on_sock pcb (fun s -> signal_local s.a));
       }
     in
-    a.stream_h <- (stack, h) :: a.stream_h;
+    a.stream_h <- Some h;
     h
 
-(* Bind a pcb to its socket and install the stack's shared handlers —
+(* Bind a pcb to its socket and install the app's shared handlers —
    owner first, so any data re-delivered by [set_handlers] can already
    find the socket. *)
 let adopt_pcb s stack pcb =
   Psd_tcp.Tcp.set_owner pcb (Sock s);
   Psd_tcp.Tcp.set_handlers pcb (stream_handlers s.a stack)
+
+(* A library-resident session imported from the server's snapshot. The
+   handlers (and owner) must be live at import time because any data
+   that arrived during establishment is re-delivered through them. *)
+let import_pcb s stack snap =
+  let pcb =
+    Psd_tcp.Tcp.import (Netstack.tcp stack) ~owner:(Sock s)
+      ~handlers:(stream_handlers s.a stack) snap
+  in
+  s.loc <- Ltcp (pcb, stack);
+  pcb
+
+(* The reverse trip: a library-resident session's protocol state leaves
+   for the server. Segments racing the server's filter switch must not
+   draw RSTs from the library stack. *)
+let export_pcb s stack pcb =
+  let snap = Psd_tcp.Tcp.export pcb in
+  if s.rem_port >= 0 then
+    Psd_tcp.Tcp.mute (Netstack.tcp stack)
+      ~local_port:(Psd_tcp.Tcp.snapshot_local_port snap)
+      ~remote:(s.rem_ip, s.rem_port)
+      ~duration_ns:(Psd_sim.Time.sec 1);
+  snap
 
 let udp_receive s (stack : Netstack.t) (dg : Psd_udp.Udp.datagram) =
   let ctx = Netstack.ctx stack in
@@ -560,8 +583,7 @@ let udp_receive s (stack : Netstack.t) (dg : Psd_udp.Udp.datagram) =
      ever, on the loaned path). The classic API cooks the string now
      and counts the copy-out at this point. *)
   let payload =
-    if s.a.config.Config.api = Config.Newapi then
-      Loaned dg.Psd_udp.Udp.payload
+    if s.a.boundary.loaned_dgrams then Loaned dg.Psd_udp.Udp.payload
     else begin
       Psd_util.Copies.count Psd_util.Copies.Rx_copyout
         (Psd_mbuf.Mbuf.length dg.Psd_udp.Udp.payload);
@@ -577,26 +599,6 @@ let udp_receive s (stack : Netstack.t) (dg : Psd_udp.Udp.datagram) =
 (* ------------------------------------------------------------------ *)
 (* bind / connect / listen / accept                                    *)
 
-let kernel_ports a = function
-  | S.Stream -> Option.get a.kernel_tcp_ports
-  | S.Dgram -> Option.get a.kernel_udp_ports
-
-let kstack a = Option.get a.kernel_stack
-
-let charge_trap a =
-  if offloaded a then begin
-    (* control ops cross the descriptor ring too: post + reap *)
-    match a.config.Config.nic with
-    | Some n ->
-      Ctx.charge a.call_ctx Phase.Control
-        (n.Platform.doorbell + n.Platform.completion);
-      Ctx.charge a.call_ctx Phase.Desc_crossing (2 * n.Platform.crossing)
-    | None -> ()
-  end
-  else
-    let plat = Psd_mach.Host.plat a.host in
-    Ctx.charge a.call_ctx Phase.Control plat.Platform.trap
-
 let bind_local_udp s stack port =
   match
     Psd_udp.Udp.bind (Netstack.udp stack) ~port
@@ -610,39 +612,34 @@ let bind_local_udp s stack port =
 
 let bind s ?port () =
   if closed s then Error "bad descriptor"
-  else if local_stack s.a then begin
-    charge_trap s.a;
-    let ports = kernel_ports s.a s.knd in
-    let result =
-      match port with
-      | Some p -> (
-        match Portalloc.reserve ports p with
-        | Ok () -> Ok p
-        | Error `In_use -> Error "address in use")
-      | None -> Ok (Portalloc.alloc_ephemeral ports)
-    in
-    match result with
-    | Error e -> Error e
-    | Ok p -> (
-      match s.knd with
-      | S.Dgram -> bind_local_udp s (kstack s.a) p
-      | S.Stream ->
-        set_local s (Netstack.addr (kstack s.a), p);
-        Ok p)
-  end
   else
-    match rpc s (S.R_bind { sid = s.sid; port }) with
-    | S.Rs_bound m -> (
-      set_local s m.S.m_local;
-      match (s.knd, s.a.stack) with
-      | S.Dgram, Some stack ->
-        (* the UDP session has migrated here: bind the library stack *)
-        bind_local_udp s stack (snd m.S.m_local)
-      | _ ->
-        s.loc <- (if s.knd = S.Dgram then Remote else s.loc);
-        Ok (snd m.S.m_local))
-    | S.Rs_err e -> Error e
-    | _ -> Error "protocol error"
+    match s.a.route with
+    | Local { stack; tcp_ports; udp_ports } -> (
+      charge_control s.a;
+      let ports =
+        match s.knd with S.Stream -> tcp_ports | S.Dgram -> udp_ports
+      in
+      match Portalloc.claim ports port with
+      | Error e -> Error e
+      | Ok p -> (
+        match s.knd with
+        | S.Dgram -> bind_local_udp s stack p
+        | S.Stream ->
+          set_local s (Netstack.addr stack, p);
+          Ok p))
+    | Proxy { library; _ } -> (
+      match rpc s (S.R_bind { sid = s.sid; port }) with
+      | S.Rs_bound m -> (
+        set_local s m.S.m_local;
+        match (s.knd, library) with
+        | S.Dgram, Some stack ->
+          (* the UDP session has migrated here: bind the library stack *)
+          bind_local_udp s stack (snd m.S.m_local)
+        | _ ->
+          s.loc <- (if s.knd = S.Dgram then Remote else s.loc);
+          Ok (snd m.S.m_local))
+      | S.Rs_err e -> Error e
+      | _ -> Error "protocol error")
 
 let wait_connected s =
   Psd_sim.Cond.until (conn_of s) (fun () ->
@@ -650,119 +647,104 @@ let wait_connected s =
       else
         match s.conn_err with Some e -> Some (Error e) | None -> None)
 
+(* Connect a datagram socket once [bound], the binding a fresh socket
+   needs first, has succeeded. *)
+let connect_udp s ip port bound =
+  match (bound, s.loc) with
+  | Ok _, Ludp (pcb, _) ->
+    Psd_udp.Udp.connect pcb ip port;
+    set_rem s (ip, port);
+    Ok ()
+  | Error e, _ -> Error e
+  | Ok _, _ -> Error "invalid state"
+
 let connect s ip port =
   if closed s then Error "bad descriptor"
-  else if local_stack s.a then begin
-    charge_trap s.a;
-    match s.knd with
-    | S.Dgram -> (
-      let ensure_bound =
-        match s.loc with
-        | Ludp _ -> Ok 0
-        | Fresh -> bind s ()
-        | _ -> Error "invalid state"
-      in
-      match (ensure_bound, s.loc) with
-      | Ok _, Ludp (pcb, _) ->
-        Psd_udp.Udp.connect pcb ip port;
-        set_rem s (ip, port);
-        Ok ()
-      | Error e, _ -> Error e
-      | _ -> Error "invalid state")
-    | S.Stream -> (
-      let src_port =
-        if s.local_port >= 0 then s.local_port
-        else Portalloc.alloc_ephemeral (kernel_ports s.a S.Stream)
-      in
-      let stack = kstack s.a in
-      set_local s (Netstack.addr stack, src_port);
-      let pcb =
-        Psd_tcp.Tcp.connect (Netstack.tcp stack) ~src_port ~dst:ip
-          ~dst_port:port ()
-      in
-      s.loc <- Ltcp (pcb, stack);
-      set_rem s (ip, port);
-      adopt_pcb s stack pcb;
-      Psd_tcp.Tcp.set_nodelay pcb (sflag s f_nodelay);
-      match wait_connected s with
-      | Ok () -> Ok ()
-      | Error e ->
-        s.loc <- Fresh;
-        Error e)
-  end
   else
-    match rpc s (S.R_connect { sid = s.sid; dst = (ip, port) }) with
-    | S.Rs_connected m -> (
-      set_local s m.S.m_local;
-      set_rem s (ip, port);
-      match (m.S.m_tcb, s.knd, s.a.stack) with
-      | Some snap, S.Stream, Some stack ->
-        (* the established session migrates into our protocol library;
-           the handlers (and owner) must be live at import time because
-           any data that arrived during establishment is re-delivered
-           through them *)
+    match s.a.route with
+    | Local { stack; tcp_ports; _ } -> (
+      charge_control s.a;
+      match s.knd with
+      | S.Dgram ->
+        connect_udp s ip port
+          (match s.loc with Fresh -> bind s () | _ -> Ok port)
+      | S.Stream -> (
+        let src_port =
+          if s.local_port >= 0 then s.local_port
+          else Portalloc.alloc_ephemeral tcp_ports
+        in
+        set_local s (Netstack.addr stack, src_port);
         let pcb =
-          Psd_tcp.Tcp.import (Netstack.tcp stack) ~owner:(Sock s)
-            ~handlers:(stream_handlers s.a stack) snap
+          Psd_tcp.Tcp.connect (Netstack.tcp stack) ~src_port ~dst:ip
+            ~dst_port:port ()
         in
         s.loc <- Ltcp (pcb, stack);
-        set_sflag s f_conn_ok true;
+        set_rem s (ip, port);
+        adopt_pcb s stack pcb;
         Psd_tcp.Tcp.set_nodelay pcb (sflag s f_nodelay);
-        Ok ()
-      | None, S.Dgram, Some stack -> (
-        (* library UDP: (re)bind locally with the connected peer *)
-        (match s.loc with
-        | Ludp (pcb, _) ->
-          Psd_udp.Udp.connect pcb ip port;
+        match wait_connected s with
+        | Ok () -> Ok ()
+        | Error e ->
+          s.loc <- Fresh;
+          Error e))
+    | Proxy { library; _ } -> (
+      match rpc s (S.R_connect { sid = s.sid; dst = (ip, port) }) with
+      | S.Rs_connected m -> (
+        set_local s m.S.m_local;
+        set_rem s (ip, port);
+        match (m.S.m_tcb, s.knd, library) with
+        | Some snap, S.Stream, Some stack ->
+          (* the established session migrates into our protocol library *)
+          let pcb = import_pcb s stack snap in
+          set_sflag s f_conn_ok true;
+          Psd_tcp.Tcp.set_nodelay pcb (sflag s f_nodelay);
           Ok ()
-        | Fresh -> (
-          match bind_local_udp s stack (snd m.S.m_local) with
-          | Ok _ -> (
-            match s.loc with
-            | Ludp (pcb, _) ->
-              Psd_udp.Udp.connect pcb ip port;
-              Ok ()
-            | _ -> Error "bind failed")
-          | Error e -> Error e)
-        | _ -> Error "invalid state"))
-      | _ ->
-        (* server-resident session (Server placement) *)
-        s.loc <- Remote;
-        set_sflag s f_conn_ok true;
-        Ok ())
-    | S.Rs_err e -> Error e
-    | _ -> Error "protocol error"
+        | None, S.Dgram, Some stack ->
+          (* library UDP: (re)bind locally with the connected peer *)
+          connect_udp s ip port
+            (match s.loc with
+            | Fresh -> bind_local_udp s stack (snd m.S.m_local)
+            | _ -> Ok port)
+        | _ ->
+          (* server-resident session (Server placement) *)
+          s.loc <- Remote;
+          set_sflag s f_conn_ok true;
+          Ok ())
+      | S.Rs_err e -> Error e
+      | _ -> Error "protocol error")
 
 let listen s ?(backlog = 5) () =
   if s.knd <> S.Stream then Error "listen on datagram socket"
-  else if local_stack s.a then begin
-    charge_trap s.a;
-    if s.local_port < 0 then Error "listen before bind"
-    else begin
-      let port = s.local_port in
-      let stack = kstack s.a in
-      let listener = Psd_tcp.Tcp.listen (Netstack.tcp stack) ~port ~backlog () in
-      (* wake acceptors on this socket's own condition so an incoming
-         connection resumes only them, not every app-wide waiter; the
-         app-wide signal stays for select() *)
-      Psd_tcp.Tcp.on_ready listener (fun () ->
-          broadcast_opt s.conn;
-          signal_local s.a);
-      s.loc <- Llisten (listener, stack);
-      Ok ()
-    end
-  end
   else
-    match rpc s (S.R_listen { sid = s.sid; backlog }) with
-    | S.Rs_ok ->
-      s.loc <- Remote;
-      Ok ()
-    | S.Rs_err e -> Error e
-    | _ -> Error "protocol error"
+    match s.a.route with
+    | Local { stack; _ } ->
+      charge_control s.a;
+      if s.local_port < 0 then Error "listen before bind"
+      else begin
+        let listener =
+          Psd_tcp.Tcp.listen (Netstack.tcp stack) ~port:s.local_port ~backlog ()
+        in
+        (* wake acceptors on this socket's own condition so an incoming
+           connection resumes only them, not every app-wide waiter; the
+           app-wide signal stays for select() *)
+        Psd_tcp.Tcp.on_ready listener (fun () ->
+            broadcast_opt s.conn;
+            signal_local s.a);
+        s.loc <- Llisten (listener, stack);
+        Ok ()
+      end
+    | Proxy _ -> (
+      match rpc s (S.R_listen { sid = s.sid; backlog }) with
+      | S.Rs_ok ->
+        s.loc <- Remote;
+        Ok ()
+      | S.Rs_err e -> Error e
+      | _ -> Error "protocol error")
 
 let accept s =
-  if local_stack s.a then begin
-    charge_trap s.a;
+  match s.a.route with
+  | Local _ -> (
+    charge_control s.a;
     match s.loc with
     | Llisten (listener, _) when nonblocking s
                                  && Psd_tcp.Tcp.pending listener = 0 ->
@@ -780,42 +762,20 @@ let accept s =
       set_sflag s' f_conn_ok true;
       adopt_pcb s' stack pcb;
       Ok s'
-    | _ -> Error "accept on non-listening socket"
-  end
-  else if
-    nonblocking s
-    && (match
-          rpc s
-            (S.R_select
-               {
-                 app = Option.value s.a.server_app_id ~default:0;
-                 sids = [ s.sid ];
-                 timeout_ns = Some 0;
-               })
-        with
-       | S.Rs_select [] -> true
-       | _ -> false)
-  then Error ewouldblock
-  else
-    match rpc s (S.R_accept { sid = s.sid }) with
-    | S.Rs_accepted (sid', m) -> (
+    | _ -> Error "accept on non-listening socket")
+  | Proxy { library; _ } -> (
+    match rpc s (S.R_accept { sid = s.sid; nonblocking = nonblocking s }) with
+    | S.Rs_accepted (sid', m) ->
       let s' = make_socket s.a S.Stream sid' in
       set_local s' m.S.m_local;
       (match m.S.m_remote with Some ep -> set_rem s' ep | None -> ());
       set_sflag s' f_conn_ok true;
-      match (m.S.m_tcb, s.a.stack) with
-      | Some snap, Some stack ->
-        let pcb =
-          Psd_tcp.Tcp.import (Netstack.tcp stack) ~owner:(Sock s')
-            ~handlers:(stream_handlers s.a stack) snap
-        in
-        s'.loc <- Ltcp (pcb, stack);
-        Ok s'
-      | _ ->
-        s'.loc <- Remote;
-        Ok s')
+      (match (m.S.m_tcb, library) with
+      | Some snap, Some stack -> ignore (import_pcb s' stack snap)
+      | _ -> s'.loc <- Remote);
+      Ok s'
     | S.Rs_err e -> Error e
-    | _ -> Error "protocol error"
+    | _ -> Error "protocol error")
 
 (* ------------------------------------------------------------------ *)
 (* data transfer                                                       *)
@@ -826,27 +786,14 @@ let charge_app_overhead s =
 
 (* Physical capture of user send data into the protocol stack. The
    in-kernel placement really crosses an address space, so it keeps the
-   user->kernel copyin ([Tx_copyin]); a library stack shares the user's
-   address space and OCaml strings are immutable, so the payload is
-   captured as a zero-copy view and the only body copy left on the send
-   path is the frame gather ([Tx_frame]). Virtual time is charged by
-   [charge_entry] from the byte count either way — this choice is
-   purely physical. *)
-let user_payload a data ~off ~len =
-  if in_kernel a then begin
-    Psd_util.Copies.count Psd_util.Copies.Tx_copyin len;
-    Psd_mbuf.Mbuf.of_bytes (Bytes.unsafe_of_string data) ~off ~len
-  end
-  else Psd_mbuf.Mbuf.of_bytes_view (Bytes.unsafe_of_string data) ~off ~len
-
-(* NEWAPI capture of a caller-owned buffer. A library stack aliases the
-   bytes as a shared view — zero copies, which is the whole point; the
-   in-kernel placement still crosses an address space, so ownership
-   transfer degenerates to the classic copyin (and completion can fire
-   as soon as the copy is made). The [Tx_owned] site is counted by the
-   caller, once per ownership transfer, not here per chunk. *)
-let owned_payload a data ~off ~len =
-  if in_kernel a then begin
+   user->kernel copyin ([Tx_copyin]); a library or on-NIC stack shares
+   the buffer (OCaml strings are immutable, and a NEWAPI caller hands
+   its bytes over), so the payload is captured as a zero-copy view and
+   the only body copy left on the send path is the frame gather
+   ([Tx_frame]). Virtual time is charged by [charge_entry] from the
+   byte count either way — this choice is purely physical. *)
+let capture a data ~off ~len =
+  if a.boundary.copyin then begin
     Psd_util.Copies.count Psd_util.Copies.Tx_copyin len;
     Psd_mbuf.Mbuf.of_bytes data ~off ~len
   end
@@ -875,8 +822,22 @@ let on_hangup s k =
   if hung_up then Psd_sim.Engine.spawn (eng s.a) ~name:"sock-hangup" k
   else s.on_hangup <- Some k
 
-let send s ?dst data =
-  let len = String.length data in
+let enqueue s pcb data ~off ~len =
+  Psd_tcp.Tcp.send pcb (capture s.a data ~off ~len);
+  s.tx_enqueued_total <- s.tx_enqueued_total + len
+
+let count_owned s ~owned n =
+  if owned && not s.a.boundary.copyin then
+    Psd_util.Copies.count Psd_util.Copies.Tx_owned n
+
+(* The one send path behind [send] and [send_owned]. An [owned] send
+   aliases the caller's buffer, counted once as [Tx_owned] per
+   ownership transfer (in-kernel capture copies instead), and hands it
+   back through [completion]: when every byte is acknowledged for a
+   stream, before returning for a datagram (the frame gather has
+   already copied it onto the wire). *)
+let send_bytes s ?dst data ~owned ~completion =
+  let len = Bytes.length data in
   charge_app_overhead s;
   if closed s then Error "bad descriptor"
   else
@@ -890,12 +851,15 @@ let send s ?dst data =
       else if space <= 0 then Error ewouldblock
       else begin
         let n = min space len in
-        Psd_tcp.Tcp.send pcb (user_payload s.a data ~off:0 ~len:n);
-        s.tx_enqueued_total <- s.tx_enqueued_total + n;
+        count_owned s ~owned n;
+        enqueue s pcb data ~off:0 ~len:n;
+        if owned then
+          register_tx_completion s ~threshold:s.tx_enqueued_total completion;
         Ok n
       end
     | Ltcp (pcb, stack) ->
       charge_entry s.a stack ~len ~copies:true;
+      count_owned s ~owned len;
       (* send-buffer backpressure: large writes go in as space opens *)
       let rec push off =
         if off >= len then Ok len
@@ -911,15 +875,20 @@ let send s ?dst data =
             Error (Option.value s.conn_err ~default:"error")
           else begin
             let n = min space (len - off) in
-            Psd_tcp.Tcp.send pcb (user_payload s.a data ~off ~len:n);
-            s.tx_enqueued_total <- s.tx_enqueued_total + n;
+            enqueue s pcb data ~off ~len:n;
             push (off + n)
           end
         end
       in
-      push 0
+      let r = push 0 in
+      (match r with
+      | Ok _ when owned ->
+        register_tx_completion s ~threshold:s.tx_enqueued_total completion
+      | _ -> ());
+      r
     | Ludp (pcb, stack) -> (
-      charge_entry s.a stack ~len ~copies:(in_kernel s.a);
+      charge_entry s.a stack ~len ~copies:s.a.boundary.copyin;
+      count_owned s ~owned len;
       let pending =
         match Psd_udp.Udp.take_error pcb with
         | Some e -> Some e
@@ -930,16 +899,16 @@ let send s ?dst data =
       in
       match pending with
       | Some e -> Error e
-      | None ->
-      match
-        Psd_udp.Udp.send pcb
-          ?dst:(Option.map (fun (ip, p) -> (ip, p)) dst)
-          (user_payload s.a data ~off:0 ~len)
-      with
-      | Ok () -> Ok len
-      | Error `No_destination -> Error "destination required"
-      | Error `No_route -> Error "no route to host"
-      | Error `Too_big -> Error "message too long")
+      | None -> (
+        match Psd_udp.Udp.send pcb ?dst (capture s.a data ~off:0 ~len) with
+        | Ok () ->
+          if owned then completion ();
+          Ok len
+        | Error `No_destination -> Error "destination required"
+        | Error `No_route -> Error "no route to host"
+        | Error `Too_big -> Error "message too long"))
+    | Remote when owned ->
+      Error "NEWAPI ownership transfer requires a local stack"
     | Remote -> (
       (* a data-bearing RPC copies the payload four times in total
          (paper Section 4.3): charge three message-copy passes here, the
@@ -947,30 +916,58 @@ let send s ?dst data =
       Psd_util.Copies.count Psd_util.Copies.Tx_rpc ~n:3 (3 * len);
       match
         rpc s ~phase:Phase.Entry_copyin ~req_bytes:((3 * len) + 32)
-          (S.R_send { sid = s.sid; data; dst })
+          (S.R_send
+             {
+               sid = s.sid;
+               data = Bytes.unsafe_to_string data;
+               dst;
+               nonblocking = nonblocking s;
+             })
       with
       | S.Rs_ok -> Ok len
+      | S.Rs_sent n -> Ok n
       | S.Rs_err e -> Error e
       | _ -> Error "protocol error")
     | Fresh | Llisten _ -> Error "not connected"
 
-let recvfrom s ~max =
+let send s ?dst data =
+  send_bytes s ?dst (Bytes.unsafe_of_string data) ~owned:false
+    ~completion:ignore
+
+let send_owned s ?dst data ~completion =
+  send_bytes s ?dst data ~owned:true ~completion
+
+(* The checks every receive call makes first. A server-resident
+   socket's emptiness is known only to the server, which answers a
+   non-blocking request itself. *)
+let recv_refused s =
   charge_app_overhead s;
-  if closed s then Error "bad descriptor"
+  if closed s then Some "bad descriptor"
   else if
     nonblocking s
     && (match s.loc with
        | Ltcp _ -> not (sb_readable s.rcv)
        | Ludp _ -> not (dq_readable s.dq)
        | _ -> false)
-  then Error ewouldblock
-  else
+  then Some ewouldblock
+  else None
+
+(* Dequeue one datagram, as [Dgramq.recv] returns it. *)
+let dequeue_dgram s =
+  let d = Psd_socket.Dgramq.recv (dq_of s) in
+  maybe_deflate_dq s;
+  d
+
+let recvfrom s ~max =
+  match recv_refused s with
+  | Some e -> Error e
+  | None -> (
     match s.loc with
     | Ltcp (pcb, stack) -> (
       match Psd_socket.Sockbuf.read (rcv_of s) ~max with
       | Ok m ->
         let len = Psd_mbuf.Mbuf.length m in
-        charge_exit s.a stack ~len ~copies:true;
+        charge_exit s.a stack ~len;
         Psd_tcp.Tcp.user_consumed pcb len;
         notify_status s;
         maybe_deflate_rcv s;
@@ -979,8 +976,7 @@ let recvfrom s ~max =
       | Error `Eof -> Ok ("", None)
       | Error (`Error e) -> Error e)
     | Ludp (_, stack) ->
-      let (src_ip, src_port), payload = Psd_socket.Dgramq.recv (dq_of s) in
-      maybe_deflate_dq s;
+      let (src_ip, src_port), payload = dequeue_dgram s in
       let payload =
         match payload with
         | Cooked str -> str
@@ -995,7 +991,7 @@ let recvfrom s ~max =
         if String.length payload > max then String.sub payload 0 max
         else payload
       in
-      charge_exit s.a stack ~len:(String.length payload) ~copies:true;
+      charge_exit s.a stack ~len:(String.length payload);
       notify_status s;
       Ok (payload, Some (Psd_ip.Addr.of_int src_ip, src_port))
     | Remote -> (
@@ -1005,7 +1001,7 @@ let recvfrom s ~max =
       in
       match
         rpc s ~phase:Phase.Copyout_exit ~resp_size
-          (S.R_recv { sid = s.sid; max })
+          (S.R_recv { sid = s.sid; max; nonblocking = nonblocking s })
       with
       | S.Rs_recv (Ok (data, src)) ->
         Psd_util.Copies.count Psd_util.Copies.Rx_rpc ~n:3
@@ -1015,7 +1011,7 @@ let recvfrom s ~max =
       | S.Rs_recv (Error (`Err e)) -> Error e
       | S.Rs_err e -> Error e
       | _ -> Error "protocol error")
-    | Fresh | Llisten _ -> Error "not connected"
+    | Fresh | Llisten _ -> Error "not connected")
 
 let recv s ~max =
   match recvfrom s ~max with Ok (d, _) -> Ok d | Error e -> Error e
@@ -1046,30 +1042,27 @@ let loan_length l = l.llen
 
 let loan_src l = l.lsrc
 
+(* Hand out a loan. Under Offload the bytes became application-visible
+   by NIC DMA into loaned memory: the library placements count this
+   deposit at their delivery channel (Pktchan); here the ring is the
+   channel. *)
+let lend s stack m ~src =
+  let len = Psd_mbuf.Mbuf.length m in
+  charge_exit s.a stack ~len;
+  (match s.a.boundary.crossing with
+  | Ring _ -> Psd_util.Copies.count Psd_util.Copies.Rx_loan len
+  | Trap | Call -> ());
+  notify_status s;
+  Ok { lview = m; llen = len; lsrc = src; lreturned = false }
+
 let recv_loan s ~max =
-  charge_app_overhead s;
-  if closed s then Error "bad descriptor"
-  else if
-    nonblocking s
-    && (match s.loc with
-       | Ltcp _ -> not (sb_readable s.rcv)
-       | Ludp _ -> not (dq_readable s.dq)
-       | _ -> false)
-  then Error ewouldblock
-  else
+  match recv_refused s with
+  | Some e -> Error e
+  | None -> (
     match s.loc with
     | Ltcp (_, stack) -> (
       match Psd_socket.Sockbuf.read_loan (rcv_of s) ~max with
-      | Ok m ->
-        let len = Psd_mbuf.Mbuf.length m in
-        charge_exit s.a stack ~len ~copies:true;
-        (* offload: the bytes became application-visible by NIC DMA into
-           loaned memory — the library placements count this deposit at
-           their delivery channel (Pktchan); here the ring is the channel *)
-        if offloaded s.a then
-          Psd_util.Copies.count Psd_util.Copies.Rx_loan len;
-        notify_status s;
-        Ok { lview = m; llen = len; lsrc = None; lreturned = false }
+      | Ok m -> lend s stack m ~src:None
       | Error `Eof ->
         Ok
           {
@@ -1079,9 +1072,8 @@ let recv_loan s ~max =
             lreturned = false;
           }
       | Error (`Error e) -> Error e)
-    | Ludp (_, stack) -> (
-      let (src_ip, src_port), payload = Psd_socket.Dgramq.recv (dq_of s) in
-      maybe_deflate_dq s;
+    | Ludp (_, stack) ->
+      let (src_ip, src_port), payload = dequeue_dgram s in
       (* datagram loans keep message boundaries: the whole payload is
          lent regardless of [max] (the classic call would truncate;
          a borrower sees the datagram exactly as delivered) *)
@@ -1096,20 +1088,9 @@ let recv_loan s ~max =
             (Bytes.unsafe_of_string str)
             ~off:0 ~len:(String.length str)
       in
-      let len = Psd_mbuf.Mbuf.length m in
-      charge_exit s.a stack ~len ~copies:true;
-      if offloaded s.a then
-        Psd_util.Copies.count Psd_util.Copies.Rx_loan len;
-      notify_status s;
-      Ok
-        {
-          lview = m;
-          llen = len;
-          lsrc = Some (Psd_ip.Addr.of_int src_ip, src_port);
-          lreturned = false;
-        })
+      lend s stack m ~src:(Some (Psd_ip.Addr.of_int src_ip, src_port))
     | Remote -> Error "NEWAPI loans require a local protocol stack"
-    | Fresh | Llisten _ -> Error "not connected"
+    | Fresh | Llisten _ -> Error "not connected")
 
 (* Deterministic reclamation: buffer space (and, for TCP, the window
    the loaned bytes held open) is released exactly here — never by GC,
@@ -1132,108 +1113,27 @@ let return_loan s l =
        pins the payload view, which the borrower is now done with *)
     ()
 
-let send_owned s ?dst data ~completion =
-  let len = Bytes.length data in
-  charge_app_overhead s;
-  if closed s then Error "bad descriptor"
-  else
-    match s.loc with
-    | Ltcp (pcb, stack) when nonblocking s ->
-      charge_entry s.a stack ~len ~copies:true;
-      let space = snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
-      if s.conn_err <> None then
-        Error (Option.value s.conn_err ~default:"error")
-      else if space <= 0 then Error ewouldblock
-      else begin
-        let n = min space len in
-        if not (in_kernel s.a) then
-          Psd_util.Copies.count Psd_util.Copies.Tx_owned n;
-        Psd_tcp.Tcp.send pcb (owned_payload s.a data ~off:0 ~len:n);
-        s.tx_enqueued_total <- s.tx_enqueued_total + n;
-        register_tx_completion s ~threshold:s.tx_enqueued_total completion;
-        Ok n
-      end
-    | Ltcp (pcb, stack) ->
-      charge_entry s.a stack ~len ~copies:true;
-      if not (in_kernel s.a) then
-        Psd_util.Copies.count Psd_util.Copies.Tx_owned len;
-      let rec push off =
-        if off >= len then begin
-          register_tx_completion s ~threshold:s.tx_enqueued_total
-            completion;
-          Ok len
-        end
-        else begin
-          let space =
-            Psd_sim.Cond.until (acked_of s) (fun () ->
-                if s.conn_err <> None then Some 0
-                else
-                  let sp = snd_hiwat - Psd_tcp.Tcp.sndq_length pcb in
-                  if sp > 0 then Some sp else None)
-          in
-          if space = 0 then
-            Error (Option.value s.conn_err ~default:"error")
-          else begin
-            let n = min space (len - off) in
-            Psd_tcp.Tcp.send pcb (owned_payload s.a data ~off ~len:n);
-            s.tx_enqueued_total <- s.tx_enqueued_total + n;
-            push (off + n)
-          end
-        end
-      in
-      push 0
-    | Ludp (pcb, stack) -> (
-      charge_entry s.a stack ~len ~copies:(in_kernel s.a);
-      if not (in_kernel s.a) then
-        Psd_util.Copies.count Psd_util.Copies.Tx_owned len;
-      let pending =
-        match Psd_udp.Udp.take_error pcb with
-        | Some e -> Some e
-        | None ->
-          let e = s.soft_err in
-          s.soft_err <- None;
-          e
-      in
-      match pending with
-      | Some e -> Error e
-      | None -> (
-        match
-          Psd_udp.Udp.send pcb
-            ?dst:(Option.map (fun (ip, p) -> (ip, p)) dst)
-            (owned_payload s.a data ~off:0 ~len)
-        with
-        | Ok () ->
-          (* the frame gather has already copied the bytes onto the
-             wire: ownership returns before the call does *)
-          completion ();
-          Ok len
-        | Error `No_destination -> Error "destination required"
-        | Error `No_route -> Error "no route to host"
-        | Error `Too_big -> Error "message too long"))
-    | Remote -> Error "NEWAPI ownership transfer requires a local stack"
-    | Fresh | Llisten _ -> Error "not connected"
-
 (* ------------------------------------------------------------------ *)
 (* select                                                              *)
 
 let select ?timeout_ns socks =
   match socks with
   | [] -> []
-  | first :: _ ->
+  | first :: _ -> (
     let a = first.a in
     let locally_ready () =
       match List.filter readable socks with [] -> None | rs -> Some rs
     in
-    if local_stack a then begin
-      charge_trap a;
+    match a.route with
+    | Local _ -> (
+      charge_control a;
       match timeout_ns with
       | None -> Psd_sim.Cond.until a.local_cond locally_ready
       | Some dt -> (
         match Psd_sim.Cond.until_timeout a.local_cond dt locally_ready with
         | Some rs -> rs
-        | None -> [])
-    end
-    else begin
+        | None -> []))
+    | Proxy { app_id; _ } -> (
       match locally_ready () with
       | Some rs -> rs (* no operating-system involvement needed *)
       | None -> (
@@ -1246,23 +1146,14 @@ let select ?timeout_ns socks =
             notify_status s)
           socks;
         let sids = List.map (fun s -> s.sid) socks in
-        let resp =
-          rpc first
-            (S.R_select
-               {
-                 app = Option.value a.server_app_id ~default:0;
-                 sids;
-                 timeout_ns;
-               })
-        in
+        let resp = rpc first (S.R_select { app = app_id; sids; timeout_ns }) in
         List.iter (fun s -> set_sflag s f_selected false) socks;
         match resp with
         | S.Rs_select ready_sids ->
           List.filter
             (fun s -> readable s || List.mem s.sid ready_sids)
             socks
-        | _ -> [])
-    end
+        | _ -> [])))
 
 (* ------------------------------------------------------------------ *)
 (* teardown, fork, exit                                                *)
@@ -1280,80 +1171,59 @@ let close s =
       a.n_socks <- List.length a.sockets;
       a.dead_socks <- 0
     end;
-    if local_stack s.a then begin
-      charge_trap s.a;
-      (match s.loc with
-      | Ltcp (pcb, _) -> Psd_tcp.Tcp.shutdown_send pcb
-      | Ludp (pcb, stack) -> Psd_udp.Udp.close (Netstack.udp stack) pcb
-      | Llisten (l, stack) ->
-        Psd_tcp.Tcp.close_listener (Netstack.tcp stack) l
-      | Remote | Fresh -> ());
+    match a.route with
+    | Local { tcp_ports; udp_ports; _ } -> (
+      charge_control a;
       match s.loc with
-      | (Ltcp _ | Llisten _) when s.local_port >= 0 ->
-        Portalloc.release (kernel_ports s.a S.Stream) s.local_port
-      | Ludp _ when s.local_port >= 0 ->
-        Portalloc.release (kernel_ports s.a S.Dgram) s.local_port
-      | _ -> ()
-    end
-    else begin
+      | Ltcp (pcb, _) ->
+        Psd_tcp.Tcp.shutdown_send pcb;
+        if s.local_port >= 0 then Portalloc.release tcp_ports s.local_port
+      | Llisten (l, stack) ->
+        Psd_tcp.Tcp.close_listener (Netstack.tcp stack) l;
+        if s.local_port >= 0 then Portalloc.release tcp_ports s.local_port
+      | Ludp (pcb, stack) ->
+        Psd_udp.Udp.close (Netstack.udp stack) pcb;
+        if s.local_port >= 0 then Portalloc.release udp_ports s.local_port
+      | Remote | Fresh -> ())
+    | Proxy _ ->
+      (* graceful shutdown of a library TCP session runs in the
+         operating-system server *)
       let tcb =
         match s.loc with
         | Ltcp (pcb, stack) when Psd_tcp.Tcp.state pcb <> Psd_tcp.Tcp.Closed
           ->
-          (* graceful shutdown runs in the operating-system server *)
-          let snap = Psd_tcp.Tcp.export pcb in
-          if s.rem_port >= 0 then
-            Psd_tcp.Tcp.mute (Netstack.tcp stack)
-              ~local_port:(Psd_tcp.Tcp.snapshot_local_port snap)
-              ~remote:(s.rem_ip, s.rem_port)
-              ~duration_ns:(Psd_sim.Time.sec 1);
-          Some snap
-        | _ -> None
-      in
-      (match s.loc with
-      | Ludp (pcb, stack) -> Psd_udp.Udp.close (Netstack.udp stack) pcb
-      | _ -> ());
-      match rpc s (S.R_close { sid = s.sid; tcb }) with _ -> ()
-    end
-  end
-
-let fork a ~name =
-  let forker =
-    match a.forker with
-    | Some f -> f
-    | None -> invalid_arg "Sockets.fork: no forker installed"
-  in
-  (* Per the paper: sessions must be returned to the operating system
-     before fork so parent and child share them there. *)
-  if not (local_stack a) then
-    List.iter
-      (fun s ->
-        if closed s then ()
-        else
-          match s.loc with
-          | Ltcp (pcb, stack)
-            when Psd_tcp.Tcp.state pcb <> Psd_tcp.Tcp.Closed
-          ->
-          let snap = Psd_tcp.Tcp.export pcb in
-          if s.rem_port >= 0 then
-            Psd_tcp.Tcp.mute (Netstack.tcp stack)
-              ~local_port:(Psd_tcp.Tcp.snapshot_local_port snap)
-              ~remote:(s.rem_ip, s.rem_port)
-              ~duration_ns:(Psd_sim.Time.sec 1);
-          (match rpc s (S.R_return { sid = s.sid; tcb = Some snap }) with
-          | _ -> ());
-          s.loc <- Remote
-        | Ltcp (_, _) -> s.loc <- Remote
+          Some (export_pcb s stack pcb)
         | Ludp (pcb, stack) ->
           Psd_udp.Udp.close (Netstack.udp stack) pcb;
-          (match rpc s (S.R_return { sid = s.sid; tcb = None }) with
-          | _ -> ());
-          s.loc <- Remote
-        | _ -> ())
-      a.sockets;
-  let child = forker ~name in
-  (* duplicate descriptors: both refer to the same (server) sessions,
-     which stay alive until the last reference closes *)
+          None
+        | _ -> None
+      in
+      ignore (rpc s (S.R_close { sid = s.sid; tcb }))
+  end
+
+(* Per the paper: sessions must be returned to the operating system
+   before fork so parent and child share them there. *)
+let return_to_server s =
+  if not (closed s) then
+    match s.loc with
+    | Ltcp (pcb, stack) when Psd_tcp.Tcp.state pcb <> Psd_tcp.Tcp.Closed ->
+      let snap = export_pcb s stack pcb in
+      ignore (rpc s (S.R_return { sid = s.sid; tcb = Some snap }));
+      s.loc <- Remote
+    | Ltcp (_, _) -> s.loc <- Remote
+    | Ludp (pcb, stack) ->
+      Psd_udp.Udp.close (Netstack.udp stack) pcb;
+      ignore (rpc s (S.R_return { sid = s.sid; tcb = None }));
+      s.loc <- Remote
+    | _ -> ()
+
+let fork a ~name =
+  (match a.route with
+  | Local _ -> ()
+  | Proxy _ -> List.iter return_to_server a.sockets);
+  let child = a.forker ~name in
+  (* duplicate descriptors: both refer to the same sessions, which stay
+     alive until the last reference closes *)
   List.iter
     (fun s ->
       if not (closed s) then begin
@@ -1364,8 +1234,9 @@ let fork a ~name =
         dup.rem_ip <- s.rem_ip;
         dup.rem_port <- s.rem_port;
         set_sflag dup f_conn_ok (conn_ok s);
-        if (not (local_stack a)) && s.sid >= 0 then
-          match rpc s (S.R_dup { sid = s.sid }) with _ -> ()
+        match a.route with
+        | Local _ -> ()
+        | Proxy _ -> ignore (rpc s (S.R_dup { sid = s.sid }))
       end)
     (List.rev a.sockets);
   child
@@ -1389,44 +1260,73 @@ let exit a =
 (* ------------------------------------------------------------------ *)
 (* wiring                                                              *)
 
-let make_app ~host ~config ~task ~stack ~call_ctx ~server ~server_app_id
-    ~kernel_stack ~kernel_tcp_ports ~kernel_udp_ports =
+(* The one place the configuration is read. A local stack behind a NIC
+   pipeline is the Offload placement's; any other local stack is the
+   kernel's. The copy rate is that of the stack that charges the data
+   path. *)
+let make_app ~host ~config ~task ~call_ctx ~route ~forker =
+  let crossing =
+    match route with
+    | Proxy _ -> Call
+    | Local { stack; _ } -> (
+      match Psd_mach.Netdev.offload_pipe (Netstack.netdev stack) with
+      | Some pipe ->
+        Ring
+          {
+            nic = Option.value config.Config.nic ~default:Platform.nic_default;
+            pipe;
+          }
+      | None -> Trap)
+  in
+  let copy_per_byte =
+    match (config.Config.api, route) with
+    | Config.Newapi, _ | Config.Classic, Proxy { library = None; _ } -> 0
+    | Config.Classic, (Local { stack; _ } | Proxy { library = Some stack; _ })
+      ->
+      let plat = (Netstack.ctx stack).Ctx.plat in
+      match crossing with
+      | Trap -> plat.Platform.copy_user_kernel_per_byte
+      | Call | Ring _ -> plat.Platform.copy_per_byte
+  in
   {
     host;
-    config;
     task;
-    stack;
+    route;
+    boundary =
+      {
+        crossing;
+        copy_per_byte;
+        copyin = (match crossing with Trap -> true | Call | Ring _ -> false);
+        loaned_dgrams = config.Config.api = Config.Newapi;
+      };
     call_ctx;
-    server;
-    server_app_id;
-    kernel_stack;
-    kernel_tcp_ports;
-    kernel_udp_ports;
     local_cond = Psd_sim.Cond.create (Psd_mach.Host.eng host);
     sockets = [];
     n_socks = 0;
     dead_socks = 0;
-    forker = None;
+    forker;
     next_local_sid = -1;
-    stream_h = [];
+    stream_h = None;
   }
-
-let set_forker a f = a.forker <- Some f
 
 let set_nonblocking s v = set_sflag s f_nonblocking v
 
 let shutdown s =
-  match s.loc with
-  | Ltcp (pcb, _) ->
-    if local_stack s.a then charge_trap s.a;
+  match (s.a.route, s.loc) with
+  | Local _, Ltcp (pcb, _) ->
+    charge_control s.a;
     Psd_tcp.Tcp.shutdown_send pcb;
     Ok ()
-  | Remote -> (
+  | Proxy _, Ltcp (pcb, _) ->
+    (* a library-resident session: a plain call into the library *)
+    Psd_tcp.Tcp.shutdown_send pcb;
+    Ok ()
+  | Proxy _, Remote -> (
     match rpc s (S.R_shutdown { sid = s.sid }) with
     | S.Rs_ok -> Ok ()
     | S.Rs_err e -> Error e
     | _ -> Error "protocol error")
-  | _ -> Error "not connected"
+  | (Local _ | Proxy _), _ -> Error "not connected"
 
 let fork_inherited a =
   List.rev (List.filter (fun s -> not (closed s)) a.sockets)

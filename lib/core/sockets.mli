@@ -1,19 +1,28 @@
 (** The application programming interface: BSD sockets, implemented by
     the proxy/library decomposition.
 
-    An {!app} is one application address space. Its socket calls are
-    dispatched by configuration:
+    An {!app} is one application address space. Where its sessions live
+    is chosen once, when {!System.app} builds it, as a {!route}:
 
-    - {e In-kernel}: every call traps into the kernel stack.
-    - {e Server}: every call is an RPC to the operating-system server.
-    - {e Library} (the paper's architecture): [socket]/[bind]/[connect]/
-      [listen]/[accept]/[close]/[select]/[fork] go through the proxy to
-      the server, which establishes sessions and {e migrates} them into
-      the application's protocol library; [send]/[recv] then run
+    - [Local] (In-kernel, Offload): every call goes straight to a stack
+      on this host — the kernel stack, or the on-NIC stack behind a
+      descriptor ring — which also owns the port namespace.
+    - [Proxy] (Server, Library): control calls are RPCs to the
+      operating-system server. Under Server placement every data call
+      is one too. Under Library placement (the paper's architecture)
+      the server establishes sessions and {e migrates} them into the
+      application's protocol library, and [send]/[recv] then run
       entirely at user level against the migrated session. After
       {!fork}, sessions have been returned to the server and data
       operations are routed there — exactly the fallback the paper
       describes.
+
+    With the route, the app fixes its {e boundary}: what one call costs
+    to cross (a trap, a procedure call, or an Offload doorbell or
+    completion plus the descriptor crossing), the per-byte copy rate
+    (zero under NEWAPI), whether send data is copied in (In-kernel only)
+    and whether datagrams queue as loaned views (NEWAPI). No call
+    re-derives these from the configuration.
 
     All calls that may block must run in a simulation fiber. The API is
     syntactically close to the BSD one on purpose (source-level
@@ -32,11 +41,6 @@ type location =
   | Loc_none  (** not yet bound/connected *)
 
 (* --- application lifecycle -------------------------------------------- *)
-
-val task : app -> Psd_mach.Task.t
-
-val app_stack : app -> Netstack.t option
-(** The application's protocol library stack (Library placement only). *)
 
 val fork : app -> name:string -> app
 (** The BSD [fork] protocol: every library-resident session is returned
@@ -163,7 +167,9 @@ val set_nonblocking : t -> bool -> unit
 (** In non-blocking mode, {!recv}/{!recvfrom} with nothing buffered,
     {!send} with a full send buffer, and {!accept} with an empty queue
     return [Error "operation would block"]; stream sends may write
-    partially. Pair with {!select}, as BSD programs do. *)
+    partially. This holds on every placement: a server-resident socket
+    carries the mode in its request and the server answers without
+    waiting. Pair with {!select}, as BSD programs do. *)
 
 val shutdown : t -> (unit, string) result
 (** [shutdown(fd, SHUT_WR)]: close the send side (FIN after pending
@@ -179,19 +185,31 @@ val readable : t -> bool
 
 (* --- wiring (used by System) -------------------------------------------- *)
 
+(** Where an app's sessions live. *)
+type route =
+  | Local of {
+      stack : Netstack.t;  (** the kernel or on-NIC stack *)
+      tcp_ports : Portalloc.t;
+      udp_ports : Portalloc.t;
+    }  (** In-kernel and Offload: one per host, shared by its apps *)
+  | Proxy of {
+      port : (Session.req, Session.resp) Psd_mach.Ipc.port;
+      app_id : int;  (** the server's name for the app *)
+      library : Netstack.t option;
+          (** the protocol library; [None] under Server placement *)
+    }  (** Server and Library: through the operating-system server *)
+
 val make_app :
   host:Psd_mach.Host.t ->
   config:Psd_cost.Config.t ->
   task:Psd_mach.Task.t ->
-  stack:Netstack.t option ->
   call_ctx:Psd_cost.Ctx.t ->
-  server:(Session.req, Session.resp) Psd_mach.Ipc.port option ->
-  server_app_id:int option ->
-  kernel_stack:Netstack.t option ->
-  kernel_tcp_ports:Portalloc.t option ->
-  kernel_udp_ports:Portalloc.t option ->
+  route:route ->
+  forker:(name:string -> app) ->
   app
-(** Assembled by {!System.app}; not meant for direct use. *)
+(** Assembled by {!System.app}; not meant for direct use. Fixes the
+    app's boundary from [config] and the route; [forker] builds the
+    child application of a {!fork}. *)
 
 val deliver_soft_error : app -> Session.sid -> string -> unit
 (** Used by the System wiring: the operating-system server pushes ICMP
@@ -201,7 +219,3 @@ val deliver_soft_error : app -> Session.sid -> string -> unit
 val fork_inherited : app -> t list
 (** The descriptors an application holds (for a forked child: the
     duplicates inherited from its parent), oldest first. *)
-
-val set_forker : app -> (name:string -> app) -> unit
-(** Install the factory used by {!fork} to create the child application
-    (assembled by {!System}). *)

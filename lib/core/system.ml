@@ -8,12 +8,9 @@ type t = {
   addr : Psd_ip.Addr.t;
   routes : Psd_ip.Route.t;
   server : Os_server.t option;
-  kernel_stack : Netstack.t option;
-  kernel_tcp_ports : Portalloc.t option;
-  kernel_udp_ports : Portalloc.t option;
+  kernel : Sockets.route option; (* In-kernel/Offload: shared by every app *)
   mutable app_stacks : Netstack.t list;
   mutable ctxs : Ctx.t list; (* every context on this host *)
-  mutable next_app_seq : int;
   mutable tcp_predict : bool; (* applied to stacks created later too *)
   rcv_buf : int option;
   delack_ns : int option;
@@ -25,6 +22,18 @@ let mac_counter = ref 0
 let fresh_mac () =
   incr mac_counter;
   Psd_link.Macaddr.of_host_id !mac_counter
+
+(* The kernel or on-NIC stack, which owns its ports: no server in the
+   loop. *)
+let host_stack t ctx =
+  let arp_cache = Psd_arp.Cache.create t.eng () in
+  Netstack.create ~ctx ~netdev:t.netdev ~addr:t.addr ~routes:t.routes
+    ~arp:Netstack.Arp_authoritative ~arp_cache ~input:Netstack.Netisr_queue
+    ?rcv_buf:t.rcv_buf ?delack_ns:t.delack_ns ()
+
+let local_route stack =
+  Sockets.Local
+    { stack; tcp_ports = Portalloc.create (); udp_ports = Portalloc.create () }
 
 let create ~eng ~segment ~config ?plat ?rcv_buf ?delack_ns ?fault ~addr
     ~name () =
@@ -68,12 +77,9 @@ let create ~eng ~segment ~config ?plat ?rcv_buf ?delack_ns ?fault ~addr
       addr;
       routes;
       server = None;
-      kernel_stack = None;
-      kernel_tcp_ports = None;
-      kernel_udp_ports = None;
+      kernel = None;
       app_stacks = [];
       ctxs = [ Psd_mach.Host.kernel_ctx host ];
-      next_app_seq = 1;
       tcp_predict = true;
       rcv_buf;
       delack_ns;
@@ -82,13 +88,7 @@ let create ~eng ~segment ~config ?plat ?rcv_buf ?delack_ns ?fault ~addr
   in
   match config.Config.placement with
   | Config.In_kernel ->
-    let kctx = Psd_mach.Host.kernel_ctx host in
-    let arp_cache = Psd_arp.Cache.create eng () in
-    let stack =
-      Netstack.create ~ctx:kctx ~netdev ~addr ~routes
-        ~arp:Netstack.Arp_authoritative ~arp_cache
-        ~input:Netstack.Netisr_queue ?rcv_buf ?delack_ns ()
-    in
+    let stack = host_stack t (Psd_mach.Host.kernel_ctx host) in
     let (_ : Psd_mach.Netdev.filter_id) =
       Psd_mach.Netdev.attach netdev ~prio:100 ~prog:Psd_bpf.Filter.ip_all
         ~sink:(Netstack.sink stack) ()
@@ -97,12 +97,7 @@ let create ~eng ~segment ~config ?plat ?rcv_buf ?delack_ns ?fault ~addr
       Psd_mach.Netdev.attach netdev ~prio:50 ~prog:Psd_bpf.Filter.arp
         ~sink:(Netstack.sink stack) ()
     in
-    {
-      t with
-      kernel_stack = Some stack;
-      kernel_tcp_ports = Some (Portalloc.create ());
-      kernel_udp_ports = Some (Portalloc.create ());
-    }
+    { t with kernel = Some (local_route stack) }
   | Config.Offload ->
     (* The seventh placement: the protocol stack's logic runs under a
        zero-cost platform (it executes but charges the host nothing);
@@ -118,20 +113,9 @@ let create ~eng ~segment ~config ?plat ?rcv_buf ?delack_ns ?fault ~addr
       Ctx.create ~eng ~cpu:(Psd_mach.Host.cpu host)
         ~plat:(Platform.zero_cost plat) ~role:Ctx.Kernel_stack
     in
-    let arp_cache = Psd_arp.Cache.create eng () in
-    let stack =
-      Netstack.create ~ctx:nic_ctx ~netdev ~addr ~routes
-        ~arp:Netstack.Arp_authoritative ~arp_cache
-        ~input:Netstack.Netisr_queue ?rcv_buf ?delack_ns ()
-    in
+    let stack = host_stack t nic_ctx in
     Psd_mach.Netdev.install_offload netdev pipe ~sink:(Netstack.sink stack);
-    {
-      t with
-      kernel_stack = Some stack;
-      kernel_tcp_ports = Some (Portalloc.create ());
-      kernel_udp_ports = Some (Portalloc.create ());
-      ctxs = nic_ctx :: t.ctxs;
-    }
+    { t with kernel = Some (local_route stack); ctxs = nic_ctx :: t.ctxs }
   | Config.Server | Config.Library ->
     let server = Os_server.create ~host ~netdev ~config ~addr ~routes ?rcv_buf ?delack_ns () in
     {
@@ -160,87 +144,68 @@ let app_channel t =
       ~deliver_fixed:plat.Platform.shm_deliver_fixed
       ~deliver_per_byte:plat.Platform.device_read_per_byte
 
-let rec app t ~name =
-  let seq = t.next_app_seq in
-  t.next_app_seq <- seq + 1;
-  let task = Psd_mach.Task.create t.host ~name () in
-  let eng = t.eng in
-  let plat = Psd_mach.Host.plat t.host in
-  let a =
-    match t.config.Config.placement with
-    | Config.In_kernel | Config.Offload ->
-      let call_ctx =
-        Ctx.create ~eng ~cpu:(Psd_mach.Host.cpu t.host) ~plat
-          ~role:Ctx.Library_stack
-      in
-      t.ctxs <- call_ctx :: t.ctxs;
-      Sockets.make_app ~host:t.host ~config:t.config ~task ~stack:None
-        ~call_ctx ~server:None ~server_app_id:None
-        ~kernel_stack:t.kernel_stack ~kernel_tcp_ports:t.kernel_tcp_ports
-        ~kernel_udp_ports:t.kernel_udp_ports
-    | Config.Server ->
-      let server = Option.get t.server in
-      let call_ctx =
-        Ctx.create ~eng ~cpu:(Psd_mach.Host.cpu t.host) ~plat
-          ~role:Ctx.Library_stack
-      in
-      t.ctxs <- call_ctx :: t.ctxs;
-      let err_fwd = ref (fun _ _ -> ()) in
-      let app_ref =
-        Os_server.register_app server ~task ~sink:(fun _ -> ())
-          ~on_error:(fun sid msg -> !err_fwd sid msg) ()
-      in
-      ignore err_fwd;
-      Sockets.make_app ~host:t.host ~config:t.config ~task ~stack:None
-        ~call_ctx
-        ~server:(Some (Os_server.rpc_port server))
-        ~server_app_id:(Some (Os_server.app_id app_ref))
-        ~kernel_stack:None ~kernel_tcp_ports:None ~kernel_udp_ports:None
-    | Config.Library ->
-      let server = Option.get t.server in
-      let ctx =
-        Ctx.create ~eng ~cpu:(Psd_mach.Host.cpu t.host) ~plat
-          ~role:Ctx.Library_stack
-      in
-      t.ctxs <- ctx :: t.ctxs;
-      let chan = app_channel t in
-      (* metastate: a local ARP cache invalidated from the server's
-         master; misses are proxy RPCs *)
-      let arp_cache = Psd_arp.Cache.create eng () in
-      Psd_arp.Cache.subscribe (Os_server.arp_master server) (fun ip ->
-          Psd_arp.Cache.invalidate arp_cache ip);
-      let rpc_port = Os_server.rpc_port server in
-      let arp_miss ip =
-        match
-          Psd_mach.Ipc.call rpc_port ~ctx ~phase:Phase.Ether_output
-            (Session.R_arp ip)
-        with
-        | Session.Rs_arp mac -> mac
-        | _ -> None
-      in
-      let stack =
-        Netstack.create ~ctx ~netdev:t.netdev ~addr:t.addr ~routes:t.routes
-          ~arp:(Netstack.Arp_cached arp_miss) ~arp_cache
-          ~input:(Netstack.Chan chan) ?rcv_buf:t.rcv_buf
-          ?delack_ns:t.delack_ns ()
-      in
-      t.app_stacks <- stack :: t.app_stacks;
-      Psd_tcp.Tcp.set_predict (Netstack.tcp stack) t.tcp_predict;
-      let err_fwd = ref (fun _ _ -> ()) in
-      let app_ref =
-        Os_server.register_app server ~task ~sink:(Netstack.sink stack)
-          ~on_error:(fun sid msg -> !err_fwd sid msg) ()
-      in
-      let a =
-        Sockets.make_app ~host:t.host ~config:t.config ~task
-          ~stack:(Some stack) ~call_ctx:ctx ~server:(Some rpc_port)
-          ~server_app_id:(Some (Os_server.app_id app_ref))
-          ~kernel_stack:None ~kernel_tcp_ports:None ~kernel_udp_ports:None
-      in
-      err_fwd := Sockets.deliver_soft_error a;
-      a
+(* An application's protocol library: a stack fed by its delivery
+   channel, with a local ARP cache invalidated from the server's master
+   (metastate) whose misses are proxy RPCs. *)
+let library_stack t server ctx =
+  let chan = app_channel t in
+  let arp_cache = Psd_arp.Cache.create t.eng () in
+  Psd_arp.Cache.subscribe (Os_server.arp_master server) (fun ip ->
+      Psd_arp.Cache.invalidate arp_cache ip);
+  let arp_miss ip =
+    match
+      Psd_mach.Ipc.call (Os_server.rpc_port server) ~ctx
+        ~phase:Phase.Ether_output (Session.R_arp ip)
+    with
+    | Session.Rs_arp mac -> mac
+    | _ -> None
   in
-  Sockets.set_forker a (fun ~name -> app t ~name);
+  let stack =
+    Netstack.create ~ctx ~netdev:t.netdev ~addr:t.addr ~routes:t.routes
+      ~arp:(Netstack.Arp_cached arp_miss) ~arp_cache
+      ~input:(Netstack.Chan chan) ?rcv_buf:t.rcv_buf ?delack_ns:t.delack_ns ()
+  in
+  t.app_stacks <- stack :: t.app_stacks;
+  Psd_tcp.Tcp.set_predict (Netstack.tcp stack) t.tcp_predict;
+  stack
+
+let rec app t ~name =
+  let task = Psd_mach.Task.create t.host ~name () in
+  let ctx =
+    Ctx.create ~eng:t.eng ~cpu:(Psd_mach.Host.cpu t.host)
+      ~plat:(Psd_mach.Host.plat t.host) ~role:Ctx.Library_stack
+  in
+  t.ctxs <- ctx :: t.ctxs;
+  match t.config.Config.placement with
+  | Config.In_kernel | Config.Offload -> make t ~task ~ctx (Option.get t.kernel)
+  | Config.Server -> proxy t ~task ~ctx (Option.get t.server) None
+  | Config.Library ->
+    let server = Option.get t.server in
+    proxy t ~task ~ctx server (Some (library_stack t server ctx))
+
+and make t ~task ~ctx route =
+  Sockets.make_app ~host:t.host ~config:t.config ~task ~call_ctx:ctx ~route
+    ~forker:(fun ~name -> app t ~name)
+
+(* Server and Library: through the server, which forwards ICMP soft
+   errors for migrated sessions to the app's sockets *)
+and proxy t ~task ~ctx server library =
+  let err_fwd = ref (fun _ _ -> ()) in
+  let app_ref =
+    Os_server.register_app server ~task
+      ~sink:(match library with Some l -> Netstack.sink l | None -> ignore)
+      ~on_error:(fun sid msg -> !err_fwd sid msg) ()
+  in
+  let a =
+    make t ~task ~ctx
+      (Sockets.Proxy
+         {
+           port = Os_server.rpc_port server;
+           app_id = Os_server.app_id app_ref;
+           library;
+         })
+  in
+  err_fwd := Sockets.deliver_soft_error a;
   a
 
 let add_route t ~net ~mask ~gateway =
@@ -257,7 +222,10 @@ let config t = t.config
 let addr t = t.addr
 let netdev t = t.netdev
 let server t = t.server
-let kernel_stack t = t.kernel_stack
+let kernel_stack t =
+  match t.kernel with
+  | Some (Sockets.Local { stack; _ }) -> Some stack
+  | Some (Sockets.Proxy _) | None -> None
 
 let nic_pipe t = Psd_mach.Netdev.offload_pipe t.netdev
 
@@ -265,7 +233,7 @@ let fault_stats t = Option.map Psd_link.Fault.stats t.fault
 
 let stacks t =
   let base =
-    match (t.kernel_stack, t.server) with
+    match (kernel_stack t, t.server) with
     | Some s, _ -> [ s ]
     | None, Some srv -> [ Os_server.stack srv ]
     | None, None -> []

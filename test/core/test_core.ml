@@ -11,6 +11,7 @@ let all_configs =
     Cfg.library_shm;
     Cfg.library_shm_ipf;
     Cfg.library_newapi_shm_ipf;
+    Cfg.offload;
   ]
 
 type pair = {
@@ -477,6 +478,43 @@ let test_two_apps_concurrent_on_one_host () =
   Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 120);
   Alcotest.(check int) "both finished" 2 !done_count
 
+let migrations sys =
+  match System.server sys with
+  | Some srv -> Os_server.migrations srv
+  | None -> Alcotest.fail "no server"
+
+let test_migration_counts () =
+  (* an unbound datagram socket migrates when it connects: one move *)
+  let p = make_pair ~config:Cfg.library_shm () in
+  let loc = ref Sockets.Loc_none in
+  let app = System.app p.sys_a ~name:"udp-connect" in
+  Psd_sim.Engine.spawn p.eng (fun () ->
+      let s = Sockets.dgram app in
+      ok "connect" (Sockets.connect s dst_b 9);
+      loc := Sockets.location s);
+  Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 1);
+  "connected udp session is library-resident" => (!loc = Sockets.Loc_library);
+  Alcotest.(check int) "udp connect: one move" 1 (migrations p.sys_a);
+  (* bound first, it moved at bind; connecting only re-aims its filter *)
+  let p = make_pair ~config:Cfg.library_shm () in
+  let app = System.app p.sys_a ~name:"udp-bind-connect" in
+  Psd_sim.Engine.spawn p.eng (fun () ->
+      let s = Sockets.dgram app in
+      ignore (ok "bind" (Sockets.bind s ()));
+      ok "connect" (Sockets.connect s dst_b 9));
+  Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 1);
+  Alcotest.(check int) "udp bind + connect: one move" 1 (migrations p.sys_a);
+  (* a TCP session moves out at connect and home at close *)
+  let p = make_pair ~config:Cfg.library_shm () in
+  let (_ : Sockets.app) = spawn_echo_server p () in
+  let client = System.app p.sys_a ~name:"client" in
+  Psd_sim.Engine.spawn p.eng (fun () ->
+      let s = Sockets.stream client in
+      ok "connect" (Sockets.connect s dst_b 7);
+      Sockets.close s);
+  Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 10);
+  Alcotest.(check int) "tcp connect + close: two moves" 2 (migrations p.sys_a)
+
 let test_migration_storm_no_leaks () =
   (* Many short-lived connections: every one migrates out on accept/connect
      and back on close. Afterwards the servers' naming state must be
@@ -515,10 +553,20 @@ let test_migration_storm_no_leaks () =
 
 (* --- BSD conformity extras ---------------------------------------------- *)
 
-let test_half_close () =
+(* Run a case under every placement; a failure names the config. *)
+let for_all_configs case () =
+  List.iter
+    (fun config ->
+      try case config
+      with e ->
+        Printf.printf "under %s\n" config.Cfg.label;
+        raise e)
+    all_configs
+
+let test_half_close config =
   (* shutdown(SHUT_WR): our FIN goes out, but we can still receive the
      peer's response afterwards — the classic request/response close. *)
-  let p = make_pair ~config:Cfg.library_shm () in
+  let p = make_pair ~config () in
   let server_app = System.app p.sys_b ~name:"responder" in
   Psd_sim.Engine.spawn p.eng (fun () ->
       let l = Sockets.stream server_app in
@@ -549,8 +597,8 @@ let test_half_close () =
   Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 10);
   Alcotest.(check string) "response after half-close" "answer:question" !got
 
-let test_nonblocking_recv_and_accept () =
-  let p = make_pair ~config:Cfg.library_shm () in
+let test_nonblocking_recv_and_accept config =
+  let p = make_pair ~config () in
   let results = ref [] in
   let app = System.app p.sys_a ~name:"nb" in
   Psd_sim.Engine.spawn p.eng (fun () ->
@@ -574,10 +622,10 @@ let test_nonblocking_recv_and_accept () =
       Alcotest.(check string) "ewouldblock" "operation would block" e)
     !results
 
-let test_nonblocking_send_partial () =
+let test_nonblocking_send_partial config =
   (* a non-blocking sender against a stalled receiver eventually gets a
      partial write, then EWOULDBLOCK — never a hang *)
-  let p = make_pair ~config:Cfg.library_shm () in
+  let p = make_pair ~config () in
   let server_app = System.app p.sys_b ~name:"stall" in
   Psd_sim.Engine.spawn p.eng (fun () ->
       let l = Sockets.stream server_app in
@@ -800,6 +848,8 @@ let () =
             test_fork_returns_sessions;
           Alcotest.test_case "migration storm, no leaks" `Quick
             test_migration_storm_no_leaks;
+          Alcotest.test_case "moves counted once" `Quick
+            test_migration_counts;
         ] );
       ( "select",
         [
@@ -836,10 +886,11 @@ let () =
         ] );
       ( "bsd-conformity",
         [
-          Alcotest.test_case "half close" `Quick test_half_close;
+          Alcotest.test_case "half close" `Quick
+            (for_all_configs test_half_close);
           Alcotest.test_case "nonblocking recv/accept" `Quick
-            test_nonblocking_recv_and_accept;
+            (for_all_configs test_nonblocking_recv_and_accept);
           Alcotest.test_case "nonblocking partial send" `Quick
-            test_nonblocking_send_partial;
+            (for_all_configs test_nonblocking_send_partial);
         ] );
     ]
