@@ -338,8 +338,10 @@ let offload_cmd =
   let out_arg =
     Arg.(
       value
-      & opt string "BENCH_offload.json"
-      & info [ "out" ] ~docv:"PATH" ~doc:"Where to write the JSON report.")
+      & opt (some string) None
+      & info [ "out" ] ~docv:"PATH"
+          ~doc:"Write the JSON report to $(docv); without it, no file is \
+                written.")
   in
   let run mb rounds out =
     let open Psd_core in
@@ -454,43 +456,46 @@ let offload_cmd =
     end;
     Format.printf
       "@.classic rows verified bit-identical with the Offload column added@.";
-    let oc = open_out out in
-    let p fmt = Printf.fprintf oc fmt in
-    p "{\n";
-    p "  \"benchmark\": \"offload\",\n";
-    p "  \"nic\": {\"name\": \"%s\", \"pes\": %d, \"ring_slots\": %d},\n"
-      nic.Psd_cost.Platform.nic_name nic.Psd_cost.Platform.pes
-      nic.Psd_cost.Platform.ring_slots;
-    p "  \"bulk\": {\n";
-    p "    \"mb\": %d,\n" mb;
-    p "    \"piped_kb_per_sec\": %.0f,\n" piped.W.Ttcp.kb_per_sec;
-    p "    \"serial_kb_per_sec\": %.0f,\n" serial.W.Ttcp.kb_per_sec;
-    p "    \"piped_elapsed_ns\": %d,\n" piped.W.Ttcp.elapsed_ns;
-    p "    \"serial_elapsed_ns\": %d,\n" serial.W.Ttcp.elapsed_ns;
-    p "    \"speedup\": %.2f\n" speedup;
-    p "  },\n";
-    p "  \"latency_ms\": {";
-    List.iteri
-      (fun i (name, ms) ->
-        p "%s\"%s\": %.3f" (if i = 0 then "" else ", ") name ms)
-      lat;
-    p "},\n";
-    p "  \"pipeline\": {\n";
-    let nsides = List.length piped_nic in
-    List.iteri
-      (fun i (who, cs) ->
-        p "    \"%s\": {" who;
-        List.iteri
-          (fun j (k, v) ->
-            p "%s\"%s\": %d" (if j = 0 then "" else ", ") k v)
-          cs;
-        p "}%s\n" (if i = nsides - 1 then "" else ","))
-      piped_nic;
-    p "  },\n";
-    p "  \"classic_rows_identical\": true\n";
-    p "}\n";
-    close_out oc;
-    Format.printf "@.wrote %s@." out
+    match out with
+    | None -> ()
+    | Some out ->
+      let oc = open_out out in
+      let p fmt = Printf.fprintf oc fmt in
+      p "{\n";
+      p "  \"benchmark\": \"offload\",\n";
+      p "  \"nic\": {\"name\": \"%s\", \"pes\": %d, \"ring_slots\": %d},\n"
+        nic.Psd_cost.Platform.nic_name nic.Psd_cost.Platform.pes
+        nic.Psd_cost.Platform.ring_slots;
+      p "  \"bulk\": {\n";
+      p "    \"mb\": %d,\n" mb;
+      p "    \"piped_kb_per_sec\": %.0f,\n" piped.W.Ttcp.kb_per_sec;
+      p "    \"serial_kb_per_sec\": %.0f,\n" serial.W.Ttcp.kb_per_sec;
+      p "    \"piped_elapsed_ns\": %d,\n" piped.W.Ttcp.elapsed_ns;
+      p "    \"serial_elapsed_ns\": %d,\n" serial.W.Ttcp.elapsed_ns;
+      p "    \"speedup\": %.2f\n" speedup;
+      p "  },\n";
+      p "  \"latency_ms\": {";
+      List.iteri
+        (fun i (name, ms) ->
+          p "%s\"%s\": %.3f" (if i = 0 then "" else ", ") name ms)
+        lat;
+      p "},\n";
+      p "  \"pipeline\": {\n";
+      let nsides = List.length piped_nic in
+      List.iteri
+        (fun i (who, cs) ->
+          p "    \"%s\": {" who;
+          List.iteri
+            (fun j (k, v) ->
+              p "%s\"%s\": %d" (if j = 0 then "" else ", ") k v)
+            cs;
+          p "}%s\n" (if i = nsides - 1 then "" else ","))
+        piped_nic;
+      p "  },\n";
+      p "  \"classic_rows_identical\": true\n";
+      p "}\n";
+      close_out oc;
+      Format.printf "@.wrote %s@." out
   in
   Cmd.v
     (Cmd.info "offload"
@@ -499,7 +504,8 @@ let offload_cmd =
              unless the pipeline is faster in virtual time), latency \
              cells, Tables 2/3/4 with the Offload column (exits \
              nonzero if any classic row changes), NIC pipeline \
-             occupancy/stall counters, all into BENCH_offload.json.")
+             occupancy/stall counters, and with $(b,--out) a JSON \
+             report.")
     Term.(const run $ mb_arg $ rounds_arg $ out_arg)
 
 let predict_cmd =
@@ -562,8 +568,10 @@ let scale_cmd =
   let out_arg =
     Arg.(
       value
-      & opt string "BENCH_scale.json"
-      & info [ "out" ] ~docv:"PATH" ~doc:"Where to write the JSON report.")
+      & opt (some string) None
+      & info [ "out" ] ~docv:"PATH"
+          ~doc:"Write the JSON report to $(docv); without it, no file is \
+                written.")
   in
   let budget_arg =
     Arg.(
@@ -608,7 +616,10 @@ let scale_cmd =
         p "      \"pool_fresh\": %d,\n" r.W.Scale.pool_fresh;
         p "      \"pool_hits\": %d,\n" r.W.Scale.pool_hits;
         p "      \"pool_puts\": %d,\n" r.W.Scale.pool_puts;
-        p "      \"pool_free\": %d\n" r.W.Scale.pool_free;
+        p "      \"pool_free\": %d,\n" r.W.Scale.pool_free;
+        p "      \"dispatch_fifo\": %d,\n" r.W.Scale.dispatch.from_fifo;
+        p "      \"dispatch_heap\": %d,\n" r.W.Scale.dispatch.from_heap;
+        p "      \"dispatch_wheel\": %d\n" r.W.Scale.dispatch.from_wheel;
         p "    }%s\n" (if i = n - 1 then "" else ","))
       points;
     p "  ]\n";
@@ -635,8 +646,11 @@ let scale_cmd =
             exit 1)
         conns
     in
-    emit_json out spacing_us hold_s seed points;
-    Format.printf "@.wrote %s@." out;
+    Option.iter
+      (fun out ->
+        emit_json out spacing_us hold_s seed points;
+        Format.printf "@.wrote %s@." out)
+      out;
     if budget > 0 then
       List.iter
         (fun (r : W.Scale.result) ->
@@ -659,8 +673,9 @@ let scale_cmd =
     (Cmd.info "scale"
        ~doc:"Sweep concurrent TCP connection count (default 1k, 10k, \
              100k) through the gateway topology and report memory per \
-             connection, events/sec, and wall-clock per simulated \
-             second into BENCH_scale.json.")
+             connection, events/sec, wall-clock per simulated second \
+             and where the engine dispatched its events from; with \
+             $(b,--out), also as a JSON report.")
     Term.(
       const run $ conns_arg $ spacing_arg $ hold_arg $ seed_arg $ out_arg
       $ budget_arg)

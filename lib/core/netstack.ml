@@ -18,7 +18,6 @@ type t = {
   mutable resolver : Psd_arp.Resolver.t option;
   input : input_kind;
   netisr_q : Bytes.t Psd_sim.Mailbox.t;
-  mutable frames_in : int;
 }
 
 let eng t = t.ctx.Ctx.eng
@@ -54,7 +53,6 @@ let send_arp t ~dst (p : Psd_arp.Packet.t) =
     frame
 
 let process_frame t frame =
-  t.frames_in <- t.frames_in + 1;
   let plat = t.ctx.Ctx.plat in
   (* wrap as an mbuf chain and queue onto the stack's input queue *)
   let mbuf_queue_cost =
@@ -113,7 +111,6 @@ let create ~ctx ~netdev ~addr ~routes ~arp ~arp_cache ~input ?rcv_buf
       resolver = None;
       input;
       netisr_q;
-      frames_in = 0;
     }
   in
   (match arp with
@@ -180,7 +177,5 @@ let sink t frame =
 let arp_resolver t = t.resolver
 
 let icmp t = t.icmp
-
-let frames_in t = t.frames_in
 
 let _ = eng

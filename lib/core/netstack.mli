@@ -58,5 +58,3 @@ val arp_resolver : t -> Psd_arp.Resolver.t option
 val icmp : t -> Psd_ip.Icmp.t option
 (** The ICMP engine — present on authoritative (kernel/server) stacks,
     which handle the host's exceptional packets. *)
-
-val frames_in : t -> int

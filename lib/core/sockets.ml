@@ -934,8 +934,15 @@ let send s ?dst data =
   send_bytes s ?dst (Bytes.unsafe_of_string data) ~owned:false
     ~completion:ignore
 
+(* No error path of [send_bytes] registers [completion], so a failed
+   send hands the buffer back here; a connection error has already
+   fired every completion registered before it. *)
 let send_owned s ?dst data ~completion =
-  send_bytes s ?dst data ~owned:true ~completion
+  match send_bytes s ?dst data ~owned:true ~completion with
+  | Ok _ as r -> r
+  | Error _ as r ->
+    completion ();
+    r
 
 (* The checks every receive call makes first. A server-resident
    socket's emptiness is known only to the server, which answers a

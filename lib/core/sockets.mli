@@ -133,12 +133,16 @@ val send_owned :
 (** NEWAPI send: the caller's buffer is aliased into the stack as a
     shared view — no copy-in — and ownership transfers to the stack
     until [completion] fires. For streams that is when every byte of
-    this send has been acknowledged (completions also fire on error
-    and at {!close}, so the buffer always comes home); for datagrams
-    the frame gather copies the bytes before the call returns, so
-    [completion] fires synchronously. The buffer must not be written
-    until then. Blocking/backpressure behaviour, partial non-blocking
-    writes, and virtual-time charges are exactly {!send}'s. *)
+    this send has been acknowledged (completions also fire on a
+    connection error and at {!close}, so the buffer always comes
+    home); for datagrams the frame gather copies the bytes before the
+    call returns, so [completion] fires synchronously. A send that
+    returns [Error] — even one that failed mid-write with bytes
+    already queued — has run [completion] before it returns.
+    [completion] runs exactly once per call. The buffer must not be
+    written until then. Blocking/backpressure behaviour, partial
+    non-blocking writes, and virtual-time charges are exactly
+    {!send}'s. *)
 
 val select : ?timeout_ns:int -> t list -> t list
 (** Readability select over sockets of one application. Implemented

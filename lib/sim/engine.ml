@@ -13,7 +13,7 @@ type timer = {
 open Effect.Deep
 
 (* The one effect a fiber performs to block. It carries nothing: every
-   blocking call records what it waits for (a heap entry, a wait-queue
+   blocking call records what it waits for (a queued entry, a wait-queue
    slot, a resume token) before performing it, so the handler's only
    job is to park the continuation in the running fiber's record. *)
 type _ Effect.t += Park : unit Effect.t
@@ -50,7 +50,7 @@ type fiber = {
   mutable k : (unit, unit) continuation; (* valid while parked *)
   mutable body : unit -> unit; (* entry point until first dispatch *)
   mutable gen : int;
-  mutable sleeping : bool; (* parked on its own sleep heap entry *)
+  mutable sleeping : bool; (* parked on its own queued sleep entry *)
   mutable timed_out : bool; (* result of the last [wait_timeout] *)
   mutable next : fiber;
   wake : unit -> unit;
@@ -72,11 +72,28 @@ type t = {
   events : (unit -> unit) Psd_util.Heap.t;
   (* Re-armable protocol timers live on a hierarchical timing wheel
      instead of the heap: O(1) cancel/re-arm, and a cancelled timer
-     leaves no dead entry behind. Heap and wheel share [next_seq],
-     so (key, seq) totally orders events across both queues and
-     dispatch order is identical to a single-queue engine. *)
+     leaves no dead entry behind. Heap, wheel and FIFO share
+     [next_seq], so (key, seq) totally orders events across all three
+     queues and dispatch order is identical to a single-queue
+     engine. *)
   timers : timer Wheel.t;
+  (* Same-instant FIFO: every push whose key is [now] (a delay-0
+     schedule, a spawn, a resume or wakeup, a re-queue). Such a push
+     takes the next seq, so among the events due now it is always last
+     and needs no ordering: a ring of (seq, callback) in two parallel
+     arrays, [flen] entries from [fhead], capacity a power of two.
+     Every entry's key is [now], and the clock only advances once the
+     ring is empty. Empty arrays until the first push. *)
+  mutable fseqs : int array;
+  mutable ffns : (unit -> unit) array;
+  mutable fhead : int;
+  mutable flen : int;
   mutable next_seq : int;
+  (* dispatch and cancel counters, read by [counts] *)
+  mutable from_fifo : int;
+  mutable from_heap : int;
+  mutable from_wheel : int;
+  mutable cancelled : int;
   rng : Psd_util.Rng.t;
   mutable alive : int;
   mutable failures : exn list; (* newest first; reversed when read *)
@@ -117,7 +134,15 @@ let create ?(seed = 42) () =
       now = 0;
       events = Psd_util.Heap.create ~dummy:nop ();
       timers = Wheel.create ~dummy:dummy_timer ();
+      fseqs = [||];
+      ffns = [||];
+      fhead = 0;
+      flen = 0;
       next_seq = 0;
+      from_fifo = 0;
+      from_heap = 0;
+      from_wheel = 0;
+      cancelled = 0;
       rng = Psd_util.Rng.create ~seed;
       alive = 0;
       failures = [];
@@ -155,9 +180,67 @@ let alloc_seq t =
   t.next_seq <- s + 1;
   s
 
+(* --- same-instant FIFO -------------------------------------------- *)
+
+(* Capacity the FIFO keeps once it drains. A larger ring (the 10k
+   spawns of a connection farm's first instant) is dropped then, so a
+   one-off burst does not pin its arrays for the rest of the run; the
+   bulk, RPC and lossy workloads peak at 38 entries and never drop
+   it. *)
+let fifo_keep = 64
+
+let fifo_grow t =
+  let cap = Array.length t.fseqs in
+  let ncap = if cap = 0 then 16 else 2 * cap in
+  let seqs = Array.make ncap 0 and fns = Array.make ncap nop in
+  for j = 0 to t.flen - 1 do
+    let i = (t.fhead + j) land (cap - 1) in
+    seqs.(j) <- t.fseqs.(i);
+    fns.(j) <- t.ffns.(i)
+  done;
+  t.fseqs <- seqs;
+  t.ffns <- fns;
+  t.fhead <- 0
+
+(* Queue [f] at [now], behind everything already due. *)
+let fifo_push t f =
+  if t.flen = Array.length t.fseqs then fifo_grow t;
+  let i = (t.fhead + t.flen) land (Array.length t.fseqs - 1) in
+  t.fseqs.(i) <- alloc_seq t;
+  t.ffns.(i) <- f;
+  t.flen <- t.flen + 1
+
+(* The head's slot is blanked, so the ring never keeps a fired
+   callback reachable. *)
+let fifo_pop t =
+  let i = t.fhead in
+  let f = t.ffns.(i) in
+  t.ffns.(i) <- nop;
+  t.flen <- t.flen - 1;
+  if t.flen > 0 then t.fhead <- (i + 1) land (Array.length t.fseqs - 1)
+  else begin
+    t.fhead <- 0;
+    if Array.length t.fseqs > fifo_keep then begin
+      t.fseqs <- [||];
+      t.ffns <- [||]
+    end
+  end;
+  f
+
+(* Key of the next event across the three queues, [max_int] when none:
+   [now] while the FIFO holds anything. *)
+let earliest t =
+  if t.flen > 0 then t.now
+  else min (Psd_util.Heap.min_key t.events) (Wheel.min_key t.timers)
+
+(* A key at [now] goes to the FIFO, any later one to the heap. *)
+let push t key f =
+  if key = t.now then fifo_push t f
+  else Psd_util.Heap.push_seq t.events ~key ~seq:(alloc_seq t) f
+
 let schedule t dt f =
   if dt < 0 then invalid_arg "Engine.schedule: negative delay";
-  Psd_util.Heap.push_seq t.events ~key:(t.now + dt) ~seq:(alloc_seq t) f
+  push t (t.now + dt) f
 
 (* Absolute-key scheduling: the seq is allocated at the call, exactly
    as a relative [schedule] at the same instant would. *)
@@ -166,7 +249,7 @@ let schedule_abs t ~key f =
     invalid_arg
       (Printf.sprintf "Engine.schedule_abs: key %d is before now %d" key
          t.now);
-  Psd_util.Heap.push_seq t.events ~key ~seq:(alloc_seq t) f
+  push t key f
 
 let timer () = { tnode = None; tfn = nop }
 
@@ -180,6 +263,7 @@ let timer_arm t tm dt f =
   match tm.tnode with
   | Some n ->
     (* still armed: re-use our own node in place, no pool round-trip *)
+    t.cancelled <- t.cancelled + 1;
     Wheel.cancel t.timers n;
     Wheel.reinsert t.timers n ~key ~seq tm
   | None -> tm.tnode <- Some (Wheel.acquire t.timers ~key ~seq tm)
@@ -187,6 +271,7 @@ let timer_arm t tm dt f =
 let timer_cancel t tm =
   match tm.tnode with
   | Some n ->
+    t.cancelled <- t.cancelled + 1;
     tm.tnode <- None;
     tm.tfn <- nop;
     Wheel.release t.timers n
@@ -213,16 +298,13 @@ let run_fiber t f =
    or its [wait_timeout] deadline). A two-step wake would re-queue it at
    delay 0, taking the next seq: that entry pops after everything
    already queued at [now] and before anything queued later. So when
-   neither queue holds an entry at [now], the re-queued entry would pop
+   no queue holds an entry at [now], the re-queued entry would pop
    next with nothing in between, and running the fiber here gives the
-   same dispatch order with one heap round trip fewer (no other entry's
-   relative seq changes). Otherwise the re-queue keeps the fiber behind
-   the events already due at this instant. *)
+   same dispatch order with one queue round trip fewer (no other
+   entry's relative seq changes). Otherwise the re-queue keeps the
+   fiber behind the events already due at this instant. *)
 let wake_from_event t f =
-  if
-    Psd_util.Heap.min_key t.events = t.now || Wheel.min_key t.timers = t.now
-  then Psd_util.Heap.push_seq t.events ~key:t.now ~seq:(alloc_seq t) f.wake
-  else run_fiber t f
+  if earliest t = t.now then fifo_push t f.wake else run_fiber t f
 
 (* Body of every fiber's [wake] closure: start it, continue it, or
    finish a slow-path sleep. *)
@@ -260,7 +342,7 @@ let spawn t ?name:_ body =
     end
   in
   t.alive <- t.alive + 1;
-  schedule t 0 f.wake
+  fifo_push t f.wake
 
 (* The running fiber, which must belong to [t]. Checked before any of
    [t]'s state is read or changed, so a misdirected call raises in the
@@ -276,7 +358,7 @@ let suspend t register =
   register (fun () ->
       if f.gen <> gen then invalid_arg "Engine: fiber resumed twice";
       f.gen <- gen + 1;
-      schedule t 0 f.wake);
+      fifo_push t f.wake);
   Effect.perform Park
 
 let sleep t dt =
@@ -286,17 +368,13 @@ let sleep t dt =
   (* Call-time bypass: if no queued event fires at or before [target]
      (and the run horizon doesn't cut the sleep short), nothing can run
      between parking and waking, so advancing the clock inline is
-     observationally identical and skips the heap and the effect
+     observationally identical and skips the queues and the effect
      switch. ~70% of steady-state events are these uncontended
      cost-charge sleeps. *)
-  if
-    target <= t.horizon
-    && Psd_util.Heap.min_key t.events > target
-    && Wheel.min_key t.timers > target
-  then t.now <- target
+  if target <= t.horizon && earliest t > target then t.now <- target
   else begin
     f.sleeping <- true;
-    Psd_util.Heap.push_seq t.events ~key:target ~seq:(alloc_seq t) f.wake;
+    push t target f.wake;
     Effect.perform Park
   end
 
@@ -352,7 +430,7 @@ let wake_one t q =
   &&
   let f = dequeue q in
   f.gen <- f.gen + 1;
-  schedule t 0 f.wake;
+  fifo_push t f.wake;
   true
 
 let wake_all t q =
@@ -380,39 +458,65 @@ let wait_timeout t q dt =
 
 (* --- dispatch --------------------------------------------------------- *)
 
-(* Next event across both queues is the (key, seq) minimum; the shared
-   seq counter makes the comparison a strict total order. *)
-let next_key t = min (Psd_util.Heap.min_key t.events) (Wheel.min_key t.timers)
+(* Fire the wheel's minimum, due at [key]. The (already unlinked) node
+   goes back to the pool and the callback is blanked before it runs, so
+   a quiescent timer retains nothing and the callback may freely
+   re-arm. *)
+let fire_wheel t key =
+  t.now <- key;
+  t.from_wheel <- t.from_wheel + 1;
+  let tm = Wheel.pop_min t.timers in
+  (match tm.tnode with
+  | Some n ->
+    tm.tnode <- None;
+    Wheel.release t.timers n
+  | None -> ());
+  let f = tm.tfn in
+  tm.tfn <- nop;
+  f ()
 
+let fire_heap t key =
+  t.now <- key;
+  t.from_heap <- t.from_heap + 1;
+  (Psd_util.Heap.pop_min t.events) ()
+
+(* The next event is the (key, seq) minimum across the three queues;
+   the shared seq counter makes the comparison a strict total order.
+   While the FIFO holds anything, only entries at [now] compete with
+   its head: the heap's and the wheel's minima if their key is [now]. *)
 let step t =
-  let hk = Psd_util.Heap.min_key t.events in
-  let wk = Wheel.min_key t.timers in
-  if hk = max_int && wk = max_int then false
-  else begin
-    if
-      wk < hk
-      || (wk = hk && Wheel.min_seq t.timers < Psd_util.Heap.min_seq t.events)
-    then begin
-      t.now <- wk;
-      let tm = Wheel.pop_min t.timers in
-      (* Fire: detach the (already unlinked) node into the pool and
-         blank the callback before invoking it, so a quiescent timer
-         retains nothing and the callback may freely re-arm. *)
-      (match tm.tnode with
-      | Some n ->
-        tm.tnode <- None;
-        Wheel.release t.timers n
-      | None -> ());
-      let f = tm.tfn in
-      tm.tfn <- nop;
-      f ()
+  if t.flen > 0 then begin
+    let now = t.now in
+    let hs =
+      if Psd_util.Heap.min_key t.events = now then
+        Psd_util.Heap.min_seq t.events
+      else max_int
+    in
+    let ws =
+      if Wheel.min_key t.timers = now then Wheel.min_seq t.timers
+      else max_int
+    in
+    let fs = t.fseqs.(t.fhead) in
+    if fs < hs && fs < ws then begin
+      t.from_fifo <- t.from_fifo + 1;
+      (fifo_pop t) ()
     end
-    else begin
-      t.now <- hk;
-      let f = Psd_util.Heap.pop_min t.events in
-      f ()
-    end;
+    else if hs < ws then fire_heap t now
+    else fire_wheel t now;
     true
+  end
+  else begin
+    let hk = Psd_util.Heap.min_key t.events in
+    let wk = Wheel.min_key t.timers in
+    if hk = max_int && wk = max_int then false
+    else begin
+      if
+        wk < hk
+        || (wk = hk && Wheel.min_seq t.timers < Psd_util.Heap.min_seq t.events)
+      then fire_wheel t wk
+      else fire_heap t hk;
+      true
+    end
   end
 
 (* The engine whose loop is innermost on this domain. A loop entered
@@ -459,7 +563,7 @@ let run_until t stop =
   t.horizon <- stop;
   dispatching t (fun () ->
       while
-        let nk = next_key t in
+        let nk = earliest t in
         nk <> max_int && nk <= stop
       do
         ignore (step t)
@@ -474,5 +578,24 @@ let alive t = t.alive
 
 let failures t = List.rev t.failures
 
-(* heap pushes + wheel arms: one seq is allocated per scheduled event *)
+(* queue pushes + wheel arms: one seq is allocated per scheduled event *)
 let events_scheduled t = t.next_seq
+
+type counts = {
+  scheduled : int;
+  from_fifo : int;
+  from_heap : int;
+  from_wheel : int;
+  cancelled : int;
+  pending : int;
+}
+
+let counts (t : t) =
+  {
+    scheduled = t.next_seq;
+    from_fifo = t.from_fifo;
+    from_heap = t.from_heap;
+    from_wheel = t.from_wheel;
+    cancelled = t.cancelled;
+    pending = t.flen + Psd_util.Heap.size t.events + Wheel.size t.timers;
+  }

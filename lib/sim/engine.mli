@@ -53,11 +53,10 @@ val sleep : t -> int -> unit
     - at the call, if no queued event is due at or before [now + dt]
       and the {!run_until} horizon is not below it, the clock advances
       inline and the fiber never parks;
-    - when the entry fires, if neither the event heap nor the timer
-      wheel holds another entry at [now], the fiber continues at once
-      instead of being re-queued (the re-queued entry would be the next
-      one popped). Otherwise it is re-queued behind the events already
-      due at this instant.
+    - when the entry fires, if the queue holds no other entry at
+      [now], the fiber continues at once instead of being re-queued
+      (the re-queued entry would be the next one popped). Otherwise it
+      is re-queued behind the events already due at this instant.
     Both keep every other event's relative [(time, seq)] order; they
     only lower {!events_scheduled}.
     @raise Invalid_argument on a negative delay. *)
@@ -77,7 +76,9 @@ val suspend : t -> ((unit -> unit) -> unit) -> unit
 
 val schedule : t -> int -> (unit -> unit) -> unit
 (** [schedule t dt f] runs callback [f] (not a fiber; it must not block)
-    [dt] nanoseconds from now. *)
+    [dt] nanoseconds from now. Events due at one instant run in the
+    order they were queued; a delay-0 callback runs after everything
+    already queued for now. *)
 
 val schedule_abs : t -> key:int -> (unit -> unit) -> unit
 (** [schedule_abs t ~key f] runs callback [f] at absolute virtual time
@@ -175,3 +176,24 @@ val failures : t -> exn list
 val events_scheduled : t -> int
 (** Total events pushed onto the queue since creation — the simulator's
     work metric (diagnostics and wall-clock tuning). *)
+
+(** Where the queue keeps an event: a push due at the current instant
+    goes to a FIFO (it is last among the events due now, so it needs
+    no ordering), a later {!schedule} or a slow-path {!sleep} to a
+    heap, and a {!timer_arm} to the timing wheel. Dispatch
+    takes the [(time, seq)] minimum across all three. *)
+type counts = {
+  scheduled : int;  (** {!events_scheduled} *)
+  from_fifo : int;  (** events dispatched from the same-instant FIFO *)
+  from_heap : int;  (** ... from the heap *)
+  from_wheel : int;  (** ... from the timer wheel (timer fires) *)
+  cancelled : int;
+      (** armed timers disarmed by {!timer_cancel} or a re-arm *)
+  pending : int;  (** events queued now, across all three *)
+}
+
+val counts : t -> counts
+(** Dispatch counters since creation. Every scheduled event is
+    dispatched, cancelled or pending:
+    [scheduled = from_fifo + from_heap + from_wheel + cancelled +
+    pending]. *)

@@ -1,8 +1,8 @@
-(** Imperative binary min-heap keyed by [int].
+(** Imperative 4-ary min-heap keyed by [(key, seq)].
 
-    Backbone of the simulator's event queue. Ties are broken by insertion
-    order so that events scheduled for the same instant fire FIFO, which
-    keeps simulations deterministic. *)
+    Backbone of the simulator's event queue. The caller supplies [seq]
+    from a monotone counter, so events scheduled for the same instant
+    fire FIFO, which keeps simulations deterministic. *)
 
 type 'a t
 
@@ -10,36 +10,23 @@ val create : dummy:'a -> unit -> 'a t
 (** [dummy] fills every slot that holds no element, so a popped value
     is not kept reachable by the heap. *)
 
-val push : 'a t -> key:int -> 'a -> unit
-
 val push_seq : 'a t -> key:int -> seq:int -> 'a -> unit
-(** Like {!push} with a caller-supplied tie-break sequence number.
-    [seq] must be strictly greater than every seq currently in the
-    heap; used when several queues share one monotone counter so that
-    (key, seq) totally orders entries across all of them. *)
+(** Insert with a caller-supplied tie-break sequence number. [seq] must
+    be strictly greater than every seq currently in the heap; the
+    engine's queues share one monotone counter so that (key, seq)
+    totally orders entries across all of them. The heap holds at most
+    2^24 entries.
+    @raise Invalid_argument unless [0 <= seq < 2^38]. *)
 
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the minimum-keyed element, FIFO among equal keys. *)
-
-val peek_key : 'a t -> int option
-
-(** [min_key h] is the smallest key, or [max_int] when empty.
-    Allocation-free variant of {!peek_key} for hot paths. *)
 val min_key : 'a t -> int
+(** The smallest key, or [max_int] when empty. Allocates nothing. *)
 
 val min_seq : 'a t -> int
 (** Tie-break seq of the minimum entry, or [max_int] when empty. *)
 
-(** [pop_min h] removes and returns the minimum entry's value without
-    allocating. Raises [Invalid_argument] on an empty heap; pair with
-    {!min_key} or {!is_empty}. *)
 val pop_min : 'a t -> 'a
+(** Remove and return the minimum entry's value without allocating,
+    FIFO among equal keys. Raises [Invalid_argument] on an empty heap;
+    pair with {!min_key}. *)
 
 val size : 'a t -> int
-
-val is_empty : 'a t -> bool
-
-val clear : 'a t -> unit
-
-val pushes : 'a t -> int
-(** Total number of pushes over the heap's lifetime (diagnostics). *)

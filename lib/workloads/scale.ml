@@ -56,6 +56,7 @@ type result = {
   pool_hits : int;
   pool_puts : int;
   pool_free : int;
+  dispatch : Psd_sim.Engine.counts; (* where each event was queued *)
 }
 
 type error =
@@ -326,13 +327,15 @@ let run ?(config = Psd_cost.Config.mach25_kernel) ?(conns = 1000)
       pool_hits;
       pool_puts;
       pool_free;
+      dispatch = Psd_sim.Engine.counts eng;
     }
 
 let pp fmt r =
   Format.fprintf fmt
     "%7d conns  %4d hosts/%-3d seg | %7d echoed %5d failed | %8.0f B/conn \
      %8.0f B/pcb | %9d events  %8.0f ev/s  %6.1f wall-ms/sim-s | %d rexmt \
-     | pool %d/%d/%d/%d"
+     | pool %d/%d/%d/%d | dispatched fifo/heap/wheel %d/%d/%d"
     r.conns r.hosts r.segments r.echoed r.failed r.bytes_per_conn
     r.bytes_per_pcb r.events r.events_per_wall_s r.wall_ms_per_sim_s
     r.rexmt_segs r.pool_fresh r.pool_hits r.pool_puts r.pool_free
+    r.dispatch.from_fifo r.dispatch.from_heap r.dispatch.from_wheel

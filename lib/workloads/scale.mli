@@ -33,6 +33,10 @@ type result = {
   pool_hits : int; (* fresh allocations, free-list reuses, ... *)
   pool_puts : int; (* ... returns to the free list, and records *)
   pool_free : int; (* parked on it at the end of the run. *)
+  dispatch : Psd_sim.Engine.counts;
+      (* the engine's dispatch counters at the end of the run: events
+         dispatched from the same-instant FIFO, the heap and the
+         timer wheel *)
 }
 
 type error =

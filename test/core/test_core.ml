@@ -788,6 +788,33 @@ let test_lazy_rcv_classic_recv () =
   Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 10);
   "finished" => !done_
 
+(* An owned send hands its buffer back exactly once, also when the
+   connection fails in the middle of it: the peer resets while the
+   sender is blocked on a full send buffer, with bytes already queued. *)
+let test_owned_send_completes_on_reset () =
+  let p = make_pair ~config:Cfg.library_newapi_shm_ipf () in
+  let app_b = System.app p.sys_b ~name:"rst-srv" in
+  Psd_sim.Engine.spawn p.eng ~name:"rst-srv" (fun () ->
+      let l = Sockets.stream app_b in
+      let (_ : int) = ok "bind" (Sockets.bind l ~port:7 ()) in
+      ok "listen" (Sockets.listen l ());
+      let (_ : Sockets.t) = ok "accept" (Sockets.accept l) in
+      (* never read: the window closes and the sender blocks *)
+      Psd_sim.Engine.sleep p.eng (Psd_sim.Time.ms 500);
+      Sockets.exit app_b);
+  let completions = ref 0 and result = ref (Ok 0) in
+  let client = System.app p.sys_a ~name:"rst-cli" in
+  Psd_sim.Engine.spawn p.eng ~name:"rst-cli" (fun () ->
+      let s = Sockets.stream client in
+      ok "connect" (Sockets.connect s dst_b 7);
+      let buf = Bytes.make 1_000_000 'o' in
+      result :=
+        Sockets.send_owned s buf ~completion:(fun () -> incr completions);
+      Sockets.close s);
+  Psd_sim.Engine.run_for p.eng (Psd_sim.Time.sec 10);
+  "send failed" => Result.is_error !result;
+  Alcotest.(check int) "completion ran once" 1 !completions
+
 (* [Sockets.on_hangup]: the hook fires once when the peer's FIN
    arrives, and immediately when registered on a connection that
    already hung up. *)
@@ -883,6 +910,8 @@ let () =
           Alcotest.test_case "classic recv, fresh vs drained" `Quick
             test_lazy_rcv_classic_recv;
           Alcotest.test_case "on_hangup hook" `Quick test_on_hangup_hook;
+          Alcotest.test_case "owned send completes on reset" `Quick
+            test_owned_send_completes_on_reset;
         ] );
       ( "bsd-conformity",
         [

@@ -176,12 +176,27 @@ let test_hexdump () =
 
 (* --- Heap ----------------------------------------------------------- *)
 
+(* The heap takes its tie-break seqs from the caller; these tests draw
+   them from a local counter, as the engine does from its own. *)
+let heap_pusher h =
+  let seq = ref 0 in
+  fun ~key v ->
+    Heap.push_seq h ~key ~seq:!seq v;
+    incr seq
+
+let heap_pop h =
+  if Heap.size h = 0 then None
+  else
+    let key = Heap.min_key h in
+    Some (key, Heap.pop_min h)
+
 let test_heap_order () =
   let h = Heap.create ~dummy:0 () in
-  List.iter (fun k -> Heap.push h ~key:k k) [ 5; 3; 8; 1; 9; 2 ];
+  let push = heap_pusher h in
+  List.iter (fun k -> push ~key:k k) [ 5; 3; 8; 1; 9; 2 ];
   let out = ref [] in
   let rec drain () =
-    match Heap.pop h with
+    match heap_pop h with
     | Some (_, v) ->
       out := v :: !out;
       drain ()
@@ -192,8 +207,9 @@ let test_heap_order () =
 
 let test_heap_fifo_ties () =
   let h = Heap.create ~dummy:"" () in
-  List.iter (fun v -> Heap.push h ~key:7 v) [ "a"; "b"; "c" ];
-  let pop () = match Heap.pop h with Some (_, v) -> v | None -> "?" in
+  let push = heap_pusher h in
+  List.iter (fun v -> push ~key:7 v) [ "a"; "b"; "c" ];
+  let pop () = match heap_pop h with Some (_, v) -> v | None -> "?" in
   let first = pop () in
   let second = pop () in
   let third = pop () in
@@ -202,28 +218,43 @@ let test_heap_fifo_ties () =
 
 let test_heap_empty () =
   let h = Heap.create ~dummy:0 () in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "peek" None (Heap.peek_key h);
-  Alcotest.(check bool) "pop none" true (Heap.pop h = None)
+  Alcotest.(check bool) "empty" true (Heap.size h = 0);
+  Alcotest.(check int) "peek" max_int (Heap.min_key h);
+  Alcotest.(check bool) "pop none" true (heap_pop h = None)
+
+let test_heap_seq_range () =
+  let h = Heap.create ~dummy:0 () in
+  let bad seq =
+    Alcotest.check_raises (Printf.sprintf "seq %d" seq)
+      (Invalid_argument "Heap.push_seq: seq out of range") (fun () ->
+        Heap.push_seq h ~key:0 ~seq 0)
+  in
+  bad (-1);
+  bad (1 lsl 38);
+  Heap.push_seq h ~key:0 ~seq:((1 lsl 38) - 1) 7;
+  Alcotest.(check int) "largest seq kept whole" ((1 lsl 38) - 1)
+    (Heap.min_seq h);
+  Alcotest.(check int) "value" 7 (Heap.pop_min h)
 
 (* Push an event closure capturing a fresh frame-sized buffer, watched
    through [w]; kept out of line so no stack slot of the caller holds
    the buffer. *)
-let[@inline never] push_watched h w ~key =
+let[@inline never] push_watched push w ~key =
   let frame = Bytes.make 1500 'x' in
   Weak.set w 0 (Some frame);
-  Heap.push h ~key (fun () -> ignore (Sys.opaque_identity frame))
+  push ~key (fun () -> ignore (Sys.opaque_identity frame))
 
 let test_heap_releases_popped () =
   (* popping until empty, then pushing again: neither the emptied slot 0
      nor the slot the last element vacated may keep the fired closure *)
   let h = Heap.create ~dummy:ignore () in
+  let push = heap_pusher h in
   let w = Weak.create 1 in
-  Heap.push h ~key:1 ignore;
-  push_watched h w ~key:2;
+  push ~key:1 ignore;
+  push_watched push w ~key:2;
   (Heap.pop_min h) ();
   (Heap.pop_min h) ();
-  Heap.push h ~key:3 ignore;
+  push ~key:3 ignore;
   Gc.full_major ();
   Alcotest.(check bool) "fired closure collectable" false (Weak.check w 0);
   Alcotest.(check int) "live entry kept" 1 (Heap.size h)
@@ -233,9 +264,10 @@ let prop_heap_sorts =
     QCheck.(list int)
     (fun keys ->
       let h = Heap.create ~dummy:() () in
-      List.iter (fun k -> Heap.push h ~key:k ()) keys;
+      let push = heap_pusher h in
+      List.iter (fun k -> push ~key:k ()) keys;
       let rec drain acc =
-        match Heap.pop h with
+        match heap_pop h with
         | Some (k, ()) -> drain (k :: acc)
         | None -> List.rev acc
       in
@@ -400,6 +432,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_heap_empty;
           Alcotest.test_case "pop releases the value" `Quick
             test_heap_releases_popped;
+          Alcotest.test_case "seq range" `Quick test_heap_seq_range;
         ]
         @ qsuite [ prop_heap_sorts ] );
       ( "stats",

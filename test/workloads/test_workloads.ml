@@ -602,6 +602,22 @@ let test_scale_smoke () =
     r.W.Scale.pool_free;
   "pool exercised" => (r.W.Scale.pool_puts > 0)
 
+(* Where the engine takes the 2k farm's events from. A push due at the
+   current instant (spawn, resume, wakeup, delay-0 schedule) goes to
+   the same-instant FIFO, so its count pins that those pushes skip the
+   heap; the split is deterministic, and every scheduled event is
+   dispatched, cancelled or still queued. *)
+let test_scale_dispatch_split () =
+  let r = scale_ok "dispatch" (W.Scale.run ~conns:2000 ()) in
+  let d = r.W.Scale.dispatch in
+  Alcotest.(check int) "events" 442_921 r.W.Scale.events;
+  Alcotest.(check int) "scheduled = events" r.W.Scale.events
+    d.Psd_sim.Engine.scheduled;
+  Alcotest.(check int) "every event accounted for" d.scheduled
+    (d.from_fifo + d.from_heap + d.from_wheel + d.cancelled + d.pending);
+  Alcotest.(check (list int)) "fifo / heap / wheel" [ 187_246; 237_662; 6_004 ]
+    [ d.from_fifo; d.from_heap; d.from_wheel ]
+
 let test_scale_plan_errors () =
   let err what = function
     | Ok _ -> Alcotest.failf "%s: expected a plan error" what
@@ -733,5 +749,7 @@ let () =
           Alcotest.test_case "plan validation" `Quick test_scale_plan_errors;
           Alcotest.test_case "chaos soak 10k deterministic" `Quick
             test_scale_chaos_soak_deterministic;
+          Alcotest.test_case "dispatch split 2k conns" `Quick
+            test_scale_dispatch_split;
         ] );
     ]
